@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 
@@ -79,56 +77,26 @@ func runAutotuneRemote(ctx context.Context, sp scenario.Spec, o autotuneOpts) er
 	}
 	base := strings.TrimRight(o.server, "/")
 	rc := newRemoteClient()
-	st, err := submitJob(ctx, rc, base, "/v1/autotune", body)
+	id, res, err := runJob(ctx, rc, os.Stdout, base, "/v1/autotune", body)
 	if err != nil {
-		return err
-	}
-	res := st.Result
-	if res == nil {
-		r, err := streamRemote(ctx, rc, os.Stdout, base, st.ID)
-		if err != nil {
-			cancelRemote(rc, base, []handle{{id: st.ID}})
-			return err
-		}
-		res = r
-	} else if _, err := io.WriteString(os.Stdout, res.Output); err != nil {
 		return err
 	}
 	if res.Failed() {
 		return fmt.Errorf("autotune failed: %s", res.Err)
 	}
 
-	raw, err := fetchArtifact(ctx, rc, base, st.ID, "trajectory")
-	if err != nil {
-		return err
+	resp, err := rc.Get(ctx, base+"/v1/jobs/"+id+"/trajectory")
+	if err == nil {
+		err = resp.Err()
 	}
-	traj, err := autotune.DecodeTrajectory(raw)
+	if err != nil {
+		return fmt.Errorf("fetching trajectory for job %s: %w", id, err)
+	}
+	traj, err := autotune.DecodeTrajectory(resp.Body)
 	if err != nil {
 		return fmt.Errorf("daemon returned a bad trajectory artifact: %v", err)
 	}
 	return finishAutotune(traj, o.trajectory)
-}
-
-// fetchArtifact GETs one finished job artifact from the daemon.
-func fetchArtifact(ctx context.Context, rc *remoteClient, base, id, name string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/jobs/"+id+"/"+name, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rc.api.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetching %s for job %s: daemon returned %s: %s",
-			name, id, resp.Status, strings.TrimSpace(string(data)))
-	}
-	return data, nil
 }
 
 // finishAutotune writes the trajectory file when asked and prints the

@@ -1,14 +1,10 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -18,45 +14,13 @@ import (
 	"prestores/internal/server/cluster"
 )
 
-// jobStatus and streamEvent mirror the prestored daemon's wire types
-// (internal/server.JobStatus and its NDJSON stream events). A cluster
-// coordinator speaks the identical surface, so the client is unaware
-// whether it is talking to one daemon or a fleet.
-type jobStatus struct {
-	ID     string        `json:"id"`
-	State  string        `json:"state"`
-	Cached bool          `json:"cached"`
-	Error  string        `json:"error"`
-	Result *bench.Result `json:"result"`
-}
-
-type streamEvent struct {
-	Event string     `json:"event"`
-	Data  string     `json:"data"`
-	Job   *jobStatus `json:"job"`
-}
-
-// remoteClient bundles the two HTTP clients a sweep needs: a timed one
-// for unary calls — a hung daemon must fail a submit or cancel, not
-// hang the sweep forever — and an untimed one for the long-lived NDJSON
-// streams, whose legitimate lifetime is the experiment's runtime.
-// Backoff paces 429 retries and stream reconnects; a fleet of clients
-// facing one full queue spreads out instead of thundering in lockstep.
-type remoteClient struct {
-	api    *http.Client
-	stream *http.Client
-	bo     cluster.Backoff
-}
-
-// requestTimeout bounds one unary call (submit, cancel) end to end.
-const requestTimeout = 30 * time.Second
-
-func newRemoteClient() *remoteClient {
-	return &remoteClient{
-		api:    &http.Client{Timeout: requestTimeout},
-		stream: &http.Client{},
-		bo:     cluster.Backoff{Base: 100 * time.Millisecond, Cap: 10 * time.Second},
-	}
+// newRemoteClient is the shared service client with the CLI's pacing:
+// a 30 s bound on one-shot calls, and a backoff under which a fleet of
+// clients facing one full queue spreads out instead of thundering in
+// lockstep. A cluster coordinator speaks the daemon's surface, so the
+// client is unaware whether it is talking to one daemon or a fleet.
+func newRemoteClient() *cluster.Client {
+	return cluster.NewClient(30*time.Second, cluster.Backoff{Base: 100 * time.Millisecond, Cap: 10 * time.Second}, nil)
 }
 
 // handle tracks one submitted experiment: the job ID to follow, or the
@@ -86,7 +50,8 @@ func runRemote(ctx context.Context, w io.Writer, base string, exps []bench.Exper
 	for i, e := range exps {
 		sctx, root := spans.begin(ctx, e.ID)
 		subCtx, sub := obs.Start(sctx, "submit")
-		st, err := submitRemote(subCtx, rc, base, e.ID, quick)
+		body, _ := json.Marshal(map[string]any{"id": e.ID, "quick": quick}) // a string and a bool: cannot fail
+		st, err := rc.SubmitJob(subCtx, base+"/v1/experiments", body)
 		sub.End()
 		if err != nil {
 			root.End()
@@ -106,7 +71,7 @@ func runRemote(ctx context.Context, w io.Writer, base string, exps []bench.Exper
 		res := h.res
 		if res == nil {
 			strCtx, str := obs.Start(h.ctx, "stream", obs.KV("job", h.id))
-			r, err := streamRemote(strCtx, rc, w, base, h.id)
+			r, err := follow(strCtx, rc, w, base, h.id)
 			str.End()
 			h.root.End()
 			if err != nil {
@@ -131,142 +96,36 @@ func runRemote(ctx context.Context, w io.Writer, base string, exps []bench.Exper
 	return results, nil
 }
 
-// submitRemote posts one experiment, retrying while the daemon's queue
-// is full (429): queued jobs drain as the sweep progresses.
-func submitRemote(ctx context.Context, rc *remoteClient, base, id string, quick bool) (*jobStatus, error) {
-	body, _ := json.Marshal(map[string]any{"id": id, "quick": quick})
-	return submitJob(ctx, rc, base, "/v1/experiments", body)
-}
-
-// submitJob posts a job body to one of the daemon's submit endpoints.
-// 429s (queue full) are retried with capped exponential backoff and
-// jitter; ctx is the total retry budget — its deadline or cancellation
-// ends the loop mid-pause.
-func submitJob(ctx context.Context, rc *remoteClient, base, path string, body []byte) (*jobStatus, error) {
-	for attempt := 0; ; {
-		req, err := http.NewRequestWithContext(ctx, "POST", base+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		obs.InjectContext(ctx, req.Header)
-		resp, err := rc.api.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		switch resp.StatusCode {
-		case http.StatusOK, http.StatusAccepted:
-			var st jobStatus
-			if err := json.Unmarshal(data, &st); err != nil {
-				return nil, fmt.Errorf("bad job handle: %v", err)
-			}
-			return &st, nil
-		case http.StatusTooManyRequests:
-			if err := rc.bo.Sleep(ctx, attempt); err != nil {
-				return nil, err
-			}
-			attempt++
-		default:
-			return nil, fmt.Errorf("daemon returned %s: %s", resp.Status, strings.TrimSpace(string(data)))
-		}
-	}
-}
-
-// maxStreamReconnects bounds consecutive fruitless reconnect attempts;
-// an attempt that delivers new output bytes resets the budget.
-const maxStreamReconnects = 5
-
-// streamRemote follows one job's NDJSON stream, copying output chunks
-// to w as they arrive, and returns the final result. A mid-job
-// disconnect is not fatal: the client tracks the bytes it has
-// consumed and reconnects with ?offset=N, so the daemon replays only
-// what is missing and no output byte is ever written twice.
-func streamRemote(ctx context.Context, rc *remoteClient, w io.Writer, base, id string) (*bench.Result, error) {
-	consumed := 0
-	attempts := 0
-	var lastErr error
-	for {
-		before := consumed
-		res, retry, err := streamOnce(ctx, rc, w, base, id, &consumed)
-		if err == nil {
-			return res, nil
-		}
-		if !retry {
-			return nil, err
-		}
-		lastErr = err
-		if consumed > before {
-			attempts = 0 // the connection was productive; fresh budget
-		}
-		if attempts >= maxStreamReconnects {
-			return nil, fmt.Errorf("stream broken after %d reconnect attempts: %w", attempts, lastErr)
-		}
-		if serr := rc.bo.Sleep(ctx, attempts); serr != nil {
-			return nil, serr
-		}
-		attempts++
-	}
-}
-
-// streamOnce attaches to the job's stream at the current offset and
-// copies until the done event. retry reports whether the failure was a
-// transport loss worth reconnecting through (connection drop, truncated
-// stream) as opposed to a definitive answer (HTTP error status, a local
-// write failure, cancellation).
-func streamOnce(ctx context.Context, rc *remoteClient, w io.Writer, base, id string, consumed *int) (res *bench.Result, retry bool, err error) {
-	url := base + "/v1/jobs/" + id + "/stream"
-	if *consumed > 0 {
-		url += "?offset=" + strconv.Itoa(*consumed)
-	}
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
+// follow streams a job's output to w (resuming after disconnects) and
+// returns its result.
+func follow(ctx context.Context, rc *cluster.Client, w io.Writer, base, id string) (*bench.Result, error) {
+	st, err := rc.Follow(ctx, base, id, w)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	obs.InjectContext(ctx, req.Header)
-	resp, err := rc.stream.Do(req)
+	if st.Result == nil {
+		return nil, fmt.Errorf("done event without result")
+	}
+	return st.Result, nil
+}
+
+// runJob submits one job and writes its output to w — streamed as it
+// is produced, or the cached result's — and returns the job's ID and
+// result. A job whose stream fails is cancelled.
+func runJob(ctx context.Context, rc *cluster.Client, w io.Writer, base, path string, body []byte) (string, *bench.Result, error) {
+	st, err := rc.SubmitJob(ctx, base+path, body)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, false, ctx.Err()
-		}
-		return nil, true, err
+		return "", nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, false, fmt.Errorf("daemon returned %s: %s", resp.Status, strings.TrimSpace(string(data)))
+	if st.Result != nil {
+		_, err := io.WriteString(w, st.Result.Output)
+		return st.ID, st.Result, err
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		var ev streamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, false, fmt.Errorf("bad stream line: %v", err)
-		}
-		switch ev.Event {
-		case "output":
-			if _, err := io.WriteString(w, ev.Data); err != nil {
-				return nil, false, err
-			}
-			*consumed += len(ev.Data)
-		case "done":
-			if ev.Job == nil || ev.Job.Result == nil {
-				return nil, false, fmt.Errorf("done event without result")
-			}
-			return ev.Job.Result, false, nil
-		}
+	res, err := follow(ctx, rc, w, base, st.ID)
+	if err != nil {
+		cancelRemote(rc, base, []handle{{id: st.ID}})
 	}
-	if ctx.Err() != nil {
-		return nil, false, ctx.Err()
-	}
-	if err := sc.Err(); err != nil {
-		return nil, true, err
-	}
-	return nil, true, fmt.Errorf("stream ended without a done event")
+	return st.ID, res, err
 }
 
 // cancelRemote best-effort cancels jobs the client will no longer
@@ -274,7 +133,7 @@ func streamOnce(ctx context.Context, rc *remoteClient, w io.Writer, base, id str
 // for nobody. Detached jobs need the explicit DELETE. The DELETEs run
 // concurrently, each under its own short deadline: aborting a wide
 // sweep must take one round-trip, not one per outstanding job.
-func cancelRemote(rc *remoteClient, base string, handles []handle) {
+func cancelRemote(rc *cluster.Client, base string, handles []handle) {
 	var wg sync.WaitGroup
 	for _, h := range handles {
 		if h.id == "" {
@@ -285,12 +144,7 @@ func cancelRemote(rc *remoteClient, base string, handles []handle) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, "DELETE", base+"/v1/jobs/"+id, nil)
-			if err == nil {
-				if resp, err := rc.api.Do(req); err == nil {
-					resp.Body.Close()
-				}
-			}
+			rc.Cancel(ctx, base, id)
 		}(h.id)
 	}
 	wg.Wait()

@@ -13,24 +13,26 @@ import (
 	"time"
 
 	"prestores/internal/bench"
+	"prestores/internal/server"
 	"prestores/internal/server/cluster"
 )
 
-// testClient is a remoteClient with a near-instant backoff so retry
+// These tests drive the shared service client the remote sweep runs
+// on, against fake daemons.
+
+// testClient is the shared client with a near-instant backoff so retry
 // tests run in milliseconds.
-func testClient() *remoteClient {
-	rc := newRemoteClient()
-	rc.bo = cluster.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond}
-	return rc
+func testClient() *cluster.Client {
+	return cluster.NewClient(time.Second, cluster.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond}, nil)
 }
 
-func writeEvent(w http.ResponseWriter, ev streamEvent) {
+func writeEvent(w http.ResponseWriter, ev server.StreamEvent) {
 	json.NewEncoder(w).Encode(ev)
 }
 
-// TestSubmitJobBacksOffThrough429 proves the 429 retry loop converges
-// once the queue drains and counts every attempt (so the backoff is
-// actually pacing, not spinning).
+// TestSubmitJobBacksOffThrough429 proves the client's 429 retry loop
+// converges once the queue drains and counts every attempt (so the
+// backoff is actually pacing, not spinning).
 func TestSubmitJobBacksOffThrough429(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -44,7 +46,7 @@ func TestSubmitJobBacksOffThrough429(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	st, err := submitJob(context.Background(), testClient(), ts.URL, "/v1/experiments", []byte(`{}`))
+	st, err := testClient().SubmitJob(context.Background(), ts.URL+"/v1/experiments", []byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestSubmitJobHonorsContextBudget(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := submitJob(ctx, testClient(), ts.URL, "/v1/experiments", []byte(`{}`))
+	_, err := testClient().SubmitJob(ctx, ts.URL+"/v1/experiments", []byte(`{}`))
 	if err == nil || ctx.Err() == nil {
 		t.Fatalf("submit against a stuck queue returned %v, want context deadline", err)
 	}
@@ -88,13 +90,13 @@ func TestStreamRemoteReconnectsWithOffset(t *testing.T) {
 		}
 		switch attempts.Add(1) {
 		case 1:
-			writeEvent(w, streamEvent{Event: "status", Job: &jobStatus{ID: "job-1", State: "running"}})
-			writeEvent(w, streamEvent{Event: "output", Data: part1})
+			writeEvent(w, server.StreamEvent{Event: "status", Job: &server.JobStatus{ID: "job-1", State: "running"}})
+			writeEvent(w, server.StreamEvent{Event: "output", Data: part1})
 			// connection ends without a done event: transport loss
 		default:
 			gotOffset.Store(r.URL.Query().Get("offset"))
-			writeEvent(w, streamEvent{Event: "output", Data: part2})
-			writeEvent(w, streamEvent{Event: "done", Job: &jobStatus{
+			writeEvent(w, server.StreamEvent{Event: "output", Data: part2})
+			writeEvent(w, server.StreamEvent{Event: "done", Job: &server.JobStatus{
 				ID: "job-1", State: "done",
 				Result: &bench.Result{ID: "e", Output: part1 + part2},
 			}})
@@ -103,10 +105,11 @@ func TestStreamRemoteReconnectsWithOffset(t *testing.T) {
 	defer ts.Close()
 
 	var out bytes.Buffer
-	res, err := streamRemote(context.Background(), testClient(), &out, ts.URL, "job-1")
+	st, err := testClient().Follow(context.Background(), ts.URL, "job-1", &out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := st.Result
 	if out.String() != part1+part2 {
 		t.Fatalf("client wrote %q, want %q (no loss, no duplication)", out.String(), part1+part2)
 	}
@@ -132,12 +135,12 @@ func TestStreamRemoteBoundedReconnects(t *testing.T) {
 	defer ts.Close()
 
 	var out bytes.Buffer
-	_, err := streamRemote(context.Background(), testClient(), &out, ts.URL, "job-1")
+	_, err := testClient().Follow(context.Background(), ts.URL, "job-1", &out)
 	if err == nil || !strings.Contains(err.Error(), "reconnect attempts") {
 		t.Fatalf("fruitless stream returned %v, want bounded-reconnects error", err)
 	}
-	if n := attempts.Load(); n != maxStreamReconnects+1 {
-		t.Fatalf("server saw %d attaches, want %d", n, maxStreamReconnects+1)
+	if n := attempts.Load(); n != cluster.MaxStreamReconnects+1 {
+		t.Fatalf("server saw %d attaches, want %d", n, cluster.MaxStreamReconnects+1)
 	}
 }
 
@@ -153,7 +156,7 @@ func TestStreamRemoteTerminalHTTPErrorDoesNotRetry(t *testing.T) {
 	defer ts.Close()
 
 	var out bytes.Buffer
-	_, err := streamRemote(context.Background(), testClient(), &out, ts.URL, "job-9")
+	_, err := testClient().Follow(context.Background(), ts.URL, "job-9", &out)
 	if err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("404 stream returned %v, want status error", err)
 	}

@@ -17,13 +17,14 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
 	"time"
 
@@ -31,6 +32,8 @@ import (
 	"prestores/internal/dirtbuster"
 	"prestores/internal/obs"
 	"prestores/internal/pmcheck"
+	"prestores/internal/server"
+	"prestores/internal/server/cluster"
 	"prestores/internal/trace"
 )
 
@@ -111,7 +114,14 @@ func main() {
 		}
 		fmt.Println(rep.Render())
 	case *upload != "" && *serverURL != "":
-		doUpload(*serverURL, *upload, *name, *lineSize)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
+		c := cluster.NewClient(30*time.Second, cluster.Backoff{Base: 100 * time.Millisecond, Cap: 10 * time.Second}, nil)
+		report, err := uploadAndAnalyze(ctx, c, *serverURL, *upload, *name, *lineSize, os.Stderr)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Print(report)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -177,145 +187,94 @@ func (it *closingIter) Next() (*trace.Chunk, error) {
 
 const uploadPart = 4 << 20
 
-// doUpload ships a recording to a prestored daemon (or cluster
+// uploadAndAnalyze ships a recording to a prestored daemon (or cluster
 // coordinator) with the resumable upload protocol, submits a chunked
-// analysis of it and prints the report. Offset mismatches (409) are
-// resumed from the server's offset, so a retried or interrupted upload
-// never re-sends bytes the server already has.
-func doUpload(base, path, app string, lineSize uint64) {
+// analysis of it, follows the job's stream to the end and returns the
+// report. Offset mismatches (409) resume from the server's offset, so
+// a retried or interrupted upload never re-sends bytes the server
+// already has; a full queue (429) is waited out.
+func uploadAndAnalyze(ctx context.Context, c *cluster.Client, base, path, app string, lineSize uint64, log io.Writer) (string, error) {
 	base = strings.TrimRight(base, "/")
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return "", err
 	}
 	defer f.Close()
 
-	var opened struct {
-		Upload string `json:"upload"`
-		Offset int64  `json:"offset"`
+	var up server.UploadStatus
+	if err := post(ctx, c, base+"/v1/traces?resume=1", &up); err != nil {
+		return "", err
 	}
-	if err := postJSON(base+"/v1/traces?resume=1", nil, &opened); err != nil {
-		fatal(err)
-	}
-	off := opened.Offset
+	off := up.Offset
 	buf := make([]byte, uploadPart)
 	for {
-		n, rerr := f.ReadAt(buf, off)
-		if n > 0 {
-			newOff, err := putPart(base, opened.Upload, off, buf[:n])
-			if err != nil {
-				fatal(err)
-			}
-			off = newOff
+		n, err := f.ReadAt(buf, off)
+		if err != nil && err != io.EOF {
+			return "", err
 		}
-		if rerr == io.EOF {
+		if n == 0 {
 			break
 		}
-		if rerr != nil {
-			fatal(rerr)
+		if off, err = putPart(ctx, c, base, up.Upload, off, buf[:n]); err != nil {
+			return "", err
 		}
 	}
-	var info struct {
-		Address string `json:"address"`
-		Chunks  int    `json:"chunks"`
-		Records uint64 `json:"records"`
+	var info server.TraceInfo
+	if err := post(ctx, c, base+"/v1/traces/uploads/"+up.Upload+"/commit", &info); err != nil {
+		return "", err
 	}
-	if err := postJSON(base+"/v1/traces/uploads/"+opened.Upload+"/commit", nil, &info); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "uploaded %d bytes as %s (%d chunks, %d records)\n",
+	fmt.Fprintf(log, "uploaded %d bytes as %s (%d chunks, %d records)\n",
 		off, info.Address, info.Chunks, info.Records)
 
-	spec := map[string]any{"trace": info.Address, "app": app, "line_size": lineSize}
-	var st struct {
-		ID     string `json:"id"`
-		State  string `json:"state"`
-		Result *struct {
-			Err    string `json:"err,omitempty"`
-			Output string `json:"output,omitempty"`
-		} `json:"result,omitempty"`
+	// Strings and an integer: the marshal cannot fail.
+	spec, _ := json.Marshal(map[string]any{"trace": info.Address, "app": app, "line_size": lineSize})
+	st, err := c.SubmitJob(ctx, base+"/v1/analyses", spec)
+	if err != nil {
+		return "", fmt.Errorf("submitting the analysis: %w", err)
 	}
-	if err := postJSON(base+"/v1/analyses", spec, &st); err != nil {
-		fatal(err)
-	}
-	for st.State != "done" && st.State != "failed" && st.State != "cancelled" {
-		time.Sleep(100 * time.Millisecond)
-		if err := getJSON(base+"/v1/jobs/"+st.ID, &st); err != nil {
-			fatal(err)
+	if st.Result == nil { // not answered from the cache: follow the job
+		// The stream's output is progress plus the report; the report
+		// alone is the result.
+		id := st.ID
+		if st, err = c.Follow(ctx, base, id, io.Discard); err != nil {
+			return "", fmt.Errorf("following analysis job %s: %w", id, err)
 		}
 	}
-	if st.State != "done" {
-		msg := st.State
-		if st.Result != nil && st.Result.Err != "" {
-			msg += ": " + st.Result.Err
-		}
-		fatal(fmt.Errorf("remote analysis %s", msg))
+	if st.State != "done" || st.Result == nil {
+		return "", fmt.Errorf("remote analysis %s: %s", st.State, st.Error)
 	}
-	fmt.Print(st.Result.Output)
+	return st.Result.Output, nil
 }
 
-// putPart uploads one part, following a 409's offset so a disagreement
-// with the server resolves in one extra round trip.
-func putPart(base, id string, off int64, part []byte) (int64, error) {
+// putPart uploads one part and returns the server's offset after it:
+// a 409 carries the offset to resume from, so a disagreement with the
+// server resolves in one extra round trip.
+func putPart(ctx context.Context, c *cluster.Client, base, id string, off int64, part []byte) (int64, error) {
 	url := fmt.Sprintf("%s/v1/traces/uploads/%s?offset=%d", base, id, off)
-	req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(part))
+	resp, err := c.Do(ctx, http.MethodPut, url, "application/octet-stream", part)
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
+	if resp.Code != http.StatusOK && resp.Code != http.StatusConflict {
+		return 0, fmt.Errorf("upload part at %d: %w", off, resp.Err())
+	}
+	var ack server.UploadStatus
+	if err := json.Unmarshal(resp.Body, &ack); err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	var ack struct {
-		Offset int64  `json:"offset"`
-		Error  string `json:"error,omitempty"`
-	}
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusConflict:
-		if err := json.Unmarshal(body, &ack); err != nil {
-			return 0, err
-		}
-		return ack.Offset, nil
-	default:
-		return 0, fmt.Errorf("upload part at %d: %d %s", off, resp.StatusCode, bytes.TrimSpace(body))
-	}
+	return ack.Offset, nil
 }
 
-func postJSON(url string, body any, out any) error {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(b)
+// post sends a body-less POST and decodes its JSON answer into out.
+func post(ctx context.Context, c *cluster.Client, url string, out any) error {
+	resp, err := c.Do(ctx, http.MethodPost, url, "", nil)
+	if err == nil {
+		err = resp.Err()
 	}
-	resp, err := http.Post(url, "application/json", rd)
 	if err != nil {
-		return err
+		return fmt.Errorf("POST %s: %w", url, err)
 	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("POST %s: %d %s", url, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	return json.Unmarshal(data, out)
-}
-
-func getJSON(url string, out any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("GET %s: %d %s", url, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	return json.Unmarshal(data, out)
+	return json.Unmarshal(resp.Body, out)
 }
 
 func fatal(err error) {

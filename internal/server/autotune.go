@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"time"
 
 	"prestores/internal/autotune"
@@ -19,43 +19,27 @@ import (
 // (no sweep axes, exactly one op) evaluated to raw metrics instead of
 // a rendered table. This is the autotuner's distributed measurement
 // primitive — the cluster coordinator routes candidate plans here.
-type evalSpec struct {
-	Spec  json.RawMessage `json:"spec"`
-	Quick bool            `json:"quick"`
+type evalSpec struct{ scenarioSpec }
+
+func (b *evalSpec) normalize() error {
+	if len(b.Spec) == 0 {
+		return errors.New("spec: required (a single-point scenario spec object)")
+	}
+	if err := b.scenarioSpec.normalize(); err != nil {
+		return err
+	}
+	if err := b.sp.CheckSinglePoint(); err != nil {
+		return fmt.Errorf("invalid eval spec: %v", err)
+	}
+	return nil
 }
 
-func (s *Server) handleSubmitEval(w http.ResponseWriter, r *http.Request) {
-	var body evalSpec
-	if !decodeBody(w, r, &body) {
-		return
-	}
-	if len(body.Spec) == 0 {
-		writeError(w, http.StatusBadRequest, "spec: required (a single-point scenario spec object)")
-		return
-	}
-	sp, err := scenario.Decode(body.Spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
-	}
-	if err := sp.CheckSinglePoint(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid eval spec: %v", err)
-		return
-	}
-	canon, err := sp.Canonical()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
-	}
-	key := evalSpec{Spec: canon, Quick: body.Quick}
-	st, j, err := s.submit("eval", key, !streamRequested(r), parentFrom(r), s.evalRun(sp, body.Quick))
-	s.respondSubmit(w, r, st, j, err)
-}
+func (b *evalSpec) run(s *Server) (runFunc, error) { return s.evalRun(b.sp, b.Quick), nil }
 
 // evalRun builds the run function for an eval job. The result's Output
 // is exactly the metrics map as canonical JSON (sorted keys) plus a
 // newline — machine-consumable, byte-stable, cache-friendly.
-func (s *Server) evalRun(sp scenario.Spec, quick bool) func(context.Context, *job) bench.Result {
+func (s *Server) evalRun(sp scenario.Spec, quick bool) runFunc {
 	name := sp.Workload.Name
 	return analysisRun("eval/"+name, "single-point evaluation of "+name, s.cfg.JobTimeout,
 		func(ctx context.Context, _ *job, out *bytes.Buffer) error {
@@ -78,54 +62,45 @@ func (s *Server) evalRun(sp scenario.Spec, quick bool) func(context.Context, *jo
 type autotuneSpec struct {
 	Spec json.RawMessage `json:"spec"`
 	autotune.Params
+
+	sp  scenario.Spec   // Spec decoded, set by normalize
+	par autotune.Params // normalized parameters the search runs with
 }
 
-// autotuneKey is the cache-key form: canonical spec bytes and the
-// normalized parameters with Parallel zeroed — the search result is
-// independent of evaluation concurrency, so requests differing only in
-// parallelism share one cache entry.
-type autotuneKey struct {
-	Spec   json.RawMessage `json:"spec"`
-	Params autotune.Params `json:"params"`
-}
-
-func (s *Server) handleSubmitAutotune(w http.ResponseWriter, r *http.Request) {
-	var body autotuneSpec
-	if !decodeBody(w, r, &body) {
-		return
+// normalize canonicalizes the spec and normalizes the parameters. The
+// hashed Params has Parallel zeroed: the search result is independent
+// of evaluation concurrency, so requests differing only in parallelism
+// share one cache entry.
+func (b *autotuneSpec) normalize() error {
+	if len(b.Spec) == 0 {
+		return errors.New("spec: required (a single-point scenario spec object; the search varies policy.window and policy.table)")
 	}
-	if len(body.Spec) == 0 {
-		writeError(w, http.StatusBadRequest, "spec: required (a single-point scenario spec object; the search varies policy.window and policy.table)")
-		return
-	}
-	sp, err := scenario.Decode(body.Spec)
+	sp, err := scenario.Decode(b.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
+		return fmt.Errorf("invalid scenario spec: %v", err)
 	}
-	par, err := autotune.Normalize(&sp, body.Params)
+	par, err := autotune.Normalize(&sp, b.Params)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid autotune request: %v", err)
-		return
+		return fmt.Errorf("invalid autotune request: %v", err)
 	}
 	canon, err := sp.Canonical()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
+		return fmt.Errorf("invalid scenario spec: %v", err)
 	}
-	keyPar := par
-	keyPar.Parallel = 0
-	key := autotuneKey{Spec: canon, Params: keyPar}
-	st, j, err := s.submit("autotune", key, !streamRequested(r), parentFrom(r), s.autotuneRun(sp, par))
-	s.respondSubmit(w, r, st, j, err)
+	b.Spec, b.sp, b.par = canon, sp, par
+	b.Params = par
+	b.Params.Parallel = 0
+	return nil
 }
+
+func (b *autotuneSpec) run(s *Server) (runFunc, error) { return s.autotuneRun(b.sp, b.par), nil }
 
 // autotuneRun builds the run function for an autotuning search job.
 // Unlike analysisRun it streams as it goes: each NDJSON progress event
 // the engine emits reaches the job's progress log (and any attached
 // stream) immediately, not at job completion. The full trajectory and
 // the winner summary become job artifacts.
-func (s *Server) autotuneRun(sp scenario.Spec, par autotune.Params) func(context.Context, *job) bench.Result {
+func (s *Server) autotuneRun(sp scenario.Spec, par autotune.Params) runFunc {
 	name := sp.Workload.Name
 	return func(ctx context.Context, j *job) bench.Result {
 		if s.cfg.JobTimeout > 0 {

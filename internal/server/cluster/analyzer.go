@@ -132,28 +132,19 @@ func (e *chunkFinalError) Error() string { return e.msg }
 // tryShard runs the request against one shard, absorbing its 429s.
 func (a clusterAnalyzer) tryShard(ctx context.Context, shard int, body []byte) ([]byte, error) {
 	c := a.c
-	for attempt := 0; ; attempt++ {
-		data, code, err := c.sc.postChunk(ctx, c.cfg.Shards[shard], body)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			c.shardFailed(shard, "chunk", err)
-			return nil, err
-		}
-		switch code {
-		case http.StatusOK:
-			return data, nil
-		case http.StatusTooManyRequests:
-			if attempt >= 8 {
-				return nil, fmt.Errorf("shard %s stayed busy through %d retries", c.cfg.Shards[shard], attempt)
-			}
-			if err := c.sc.bo.Sleep(ctx, attempt); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, &chunkFinalError{msg: fmt.Sprintf("shard %s rejected chunk: %d %s",
-				c.cfg.Shards[shard], code, bytes.TrimSpace(data))}
-		}
+	url := c.cfg.Shards[shard]
+	resp, err := c.submitRetrying(ctx, url+"/v1/analyses/chunks", "application/octet-stream", body)
+	switch {
+	case ctx.Err() != nil:
+		return nil, ctx.Err()
+	case errors.Is(err, ErrQueueFull):
+		return nil, fmt.Errorf("shard %s: %w", url, err)
+	case err != nil:
+		c.shardFailed(shard, "chunk", err)
+		return nil, err
+	case resp.Code != http.StatusOK:
+		return nil, &chunkFinalError{msg: fmt.Sprintf("shard %s rejected chunk: %d %s",
+			url, resp.Code, bytes.TrimSpace(resp.Body))}
 	}
+	return resp.Body, nil
 }

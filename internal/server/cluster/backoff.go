@@ -1,17 +1,20 @@
 // Package cluster scales prestored horizontally: a coordinator fronts
 // a fleet of worker daemons, routing each submitted job to a shard by
-// consistent hashing of its content-address routing key (so the
-// workers' content-addressed result caches compose into a distributed
-// cache with stable key→shard placement), proxying status, stream and
-// artifact requests to the owning shard, and requeuing jobs to the
-// next ring position when a shard dies. Because every job's output is
+// consistent hashing of its content address — the very key the workers
+// cache it under (server.Key), so their result caches compose into a
+// distributed cache with stable key→shard placement — proxying status,
+// stream and artifact requests to the owning shard, and requeuing jobs
+// to the next ring position when a shard dies. Because every job's output is
 // deterministic (the golden byte-identity guard), a requeued job
 // re-produces the exact bytes the dead shard would have produced, and
 // the coordinator resumes the client's stream at the byte offset it
 // had already forwarded — the cluster boundary is invisible to
 // clients, exactly as the single-daemon boundary is.
 //
-// Everything here is stdlib-only, like the rest of the daemon.
+// The package also holds the one HTTP client for the prestored
+// surface (Client), which the coordinator, prestore-bench and
+// prestore-trace share. Everything here is stdlib-only, like the rest
+// of the daemon.
 package cluster
 
 import (
@@ -22,9 +25,8 @@ import (
 
 // Backoff is a capped exponential backoff schedule with jitter. The
 // zero value is usable: 50 ms base, 5 s cap, factor 2, equal jitter.
-// It is shared by the coordinator's shard client and by
-// prestore-bench's remote client (429 retries, stream reconnects), so
-// a fleet of clients facing a full queue spreads out instead of
+// It paces the shared Client's 429 retries and stream reconnects, so a
+// fleet of clients facing a full queue spreads out instead of
 // thundering in lockstep.
 type Backoff struct {
 	// Base is the delay before the first retry; <= 0 means 50 ms.

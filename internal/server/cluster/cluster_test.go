@@ -215,13 +215,13 @@ func TestClusterRoutingAndDistributedCache(t *testing.T) {
 }
 
 // readEvent reads one NDJSON event from a live stream.
-func readEvent(t *testing.T, br *bufio.Reader) streamEvent {
+func readEvent(t *testing.T, br *bufio.Reader) server.StreamEvent {
 	t.Helper()
 	line, err := br.ReadBytes('\n')
 	if err != nil {
 		t.Fatalf("reading stream: %v", err)
 	}
-	var ev streamEvent
+	var ev server.StreamEvent
 	if err := json.Unmarshal(line, &ev); err != nil {
 		t.Fatalf("bad stream line %q: %v", line, err)
 	}
@@ -465,32 +465,93 @@ func TestClusterCancelProxies(t *testing.T) {
 	}
 }
 
-func TestRouteKeyCanonicalization(t *testing.T) {
-	a, err := routeKey("experiment", []byte(`{"id":"fig3","quick":true}`))
-	if err != nil {
-		t.Fatal(err)
+// TestClusterSpellingVariantsShareOneShard submits one eval spec three
+// ways — canonical, with reordered keys and extra whitespace, and with
+// the default "quick": false spelled out. All three share the daemon's
+// content address, so the coordinator must place them on the shard
+// that ran the first: one routed job, two cache hits, one key.
+func TestClusterSpellingVariantsShareOneShard(t *testing.T) {
+	coord, cts, _ := newCluster(t, 2)
+	const canonical = `{"spec":{"version":1,"machine":{"preset":"machine-a"},` +
+		`"workload":{"name":"sites","params":{"once_lines":256,"rounds":2}},` +
+		`"policy":{"ops":["none"],"columns":[{"title":"elapsed","op":"none","metric":"elapsed"}]}}}`
+	const reordered = `{ "spec": { "policy": { "columns": [ { "metric": "elapsed", "op": "none", "title": "elapsed" } ],
+		"ops": [ "none" ] }, "workload": { "params": { "rounds": 2, "once_lines": 256 }, "name": "sites" },
+		"machine": { "preset": "machine-a" }, "version": 1 } }`
+	const spelled = `{"quick":false,"spec":{"version":1,"machine":{"preset":"machine-a"},` +
+		`"workload":{"name":"sites","params":{"once_lines":256,"rounds":2}},` +
+		`"policy":{"ops":["none"],"columns":[{"title":"elapsed","op":"none","metric":"elapsed"}]}}}`
+
+	code, data := postRaw(t, cts.URL+"/v1/eval", canonical)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit: status %d: %s", code, data)
 	}
-	b, err := routeKey("experiment", []byte("{ \"quick\": true,\n  \"id\": \"fig3\" }"))
-	if err != nil {
-		t.Fatal(err)
+	first := waitFinal(t, cts.URL, decodeStatus(t, data).ID)
+	if first.State != "done" {
+		t.Fatalf("first eval: %+v", first)
 	}
-	if a != b {
-		t.Errorf("semantically identical bodies routed differently:\n%s\n%s", a, b)
+	keys := []string{first.Key}
+	for _, body := range []string{reordered, spelled} {
+		code, data := postRaw(t, cts.URL+"/v1/eval", body)
+		st := decodeStatus(t, data)
+		if code != http.StatusOK || !st.Cached {
+			t.Fatalf("variant submit: status %d, cached %v (want 200 cached): %s", code, st.Cached, data)
+		}
+		keys = append(keys, st.Key)
 	}
-	c, _ := routeKey("experiment", []byte(`{"id":"fig3","quick":false}`))
-	if a == c {
-		t.Error("different bodies produced the same routing key")
+
+	routedShards, routed := coord.m.routed.snapshot()
+	hitShards, hits := coord.m.cacheHits.snapshot()
+	owner := ""
+	for i, n := range routed {
+		if n != 0 {
+			if n != 1 || owner != "" {
+				t.Fatalf("routed counts %v over %v, want exactly one routed job", routed, routedShards)
+			}
+			owner = routedShards[i]
+		}
 	}
-	d, _ := routeKey("scenario", []byte(`{"id":"fig3","quick":true}`))
-	if a == d {
-		t.Error("different kinds produced the same routing key")
+	for i, n := range hits {
+		want := int64(0)
+		if hitShards[i] == owner {
+			want = 2
+		}
+		if n != want {
+			t.Fatalf("cache hits %v over %v, want 2 on %s (the routed shard) and none elsewhere", hits, hitShards, owner)
+		}
 	}
-	// Large integers survive canonicalization undamaged.
-	big, err := routeKey("trace", []byte(`{"pm_base":1099511627776}`))
-	if err != nil || big == "" {
-		t.Fatalf("large-number body: %v", err)
+
+	// The key every response carries is the worker's own.
+	_, direct := postRaw(t, owner+"/v1/eval", canonical)
+	want := decodeStatus(t, direct).Key
+	for i, k := range keys {
+		if k != want {
+			t.Errorf("response %d key = %s, want the worker's %s", i, k, want)
+		}
 	}
-	if _, err := routeKey("experiment", []byte(`{not json`)); err == nil {
-		t.Error("malformed body accepted")
+}
+
+// TestRouteParity: every route the daemon registers is served by the
+// coordinator unless the route table marks it shard-only, so a new
+// daemon endpoint cannot silently 404 through a cluster.
+func TestRouteParity(t *testing.T) {
+	coord, _, _ := newCluster(t, 1)
+	daemon := server.New(server.Config{Workers: 1, EnablePprof: true})
+	t.Cleanup(func() { daemon.Shutdown(context.Background()) })
+	dmux := daemon.Handler().(*http.ServeMux)
+	for _, rt := range server.Routes() {
+		method, _, _ := strings.Cut(rt.Pattern, " ")
+		path := strings.NewReplacer("{id}", "cjob-1", "{address}", "abc").Replace(rt.Path())
+		req := httptest.NewRequest(method, path, nil)
+		if _, pat := dmux.Handler(req); pat != rt.Pattern {
+			t.Errorf("daemon resolves %s %s to %q, want its table route %q", method, path, pat, rt.Pattern)
+		}
+		_, pat := coord.mux.Handler(req)
+		switch {
+		case rt.Cluster == server.ShardOnly && pat == rt.Pattern:
+			t.Errorf("shard-only route %q is served by the coordinator", rt.Pattern)
+		case rt.Cluster != server.ShardOnly && pat != rt.Pattern:
+			t.Errorf("daemon route %q is not served by the coordinator (resolves to %q)", rt.Pattern, pat)
+		}
 	}
 }

@@ -1,18 +1,13 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -49,7 +44,8 @@ type Config struct {
 	// candidate evaluations out across the shards); <= 0 means 2.
 	AutotuneWorkers int
 	// Backoff paces retries against a shard answering 429 during a
-	// requeue. The zero value is the shared default schedule.
+	// requeue or a chunk fan-out, and stream reconnects. The zero value
+	// is the shared default schedule.
 	Backoff Backoff
 	// Logger receives structured logs; nil discards them.
 	Logger *slog.Logger
@@ -64,19 +60,20 @@ type Config struct {
 }
 
 // Coordinator fronts a fleet of prestored worker shards with the same
-// HTTP surface a single daemon exposes. Submits are routed by
-// consistent hashing of the request's content-address routing key, so
-// identical work always lands on the same shard and the shards' result
-// caches compose into a distributed cache. Status, stream, artifact
-// and cancel requests are proxied to the owning shard. When a shard
-// dies, its jobs are requeued to the next ring position and client
-// streams resume at the exact byte offset already forwarded — output
-// determinism (the golden byte-identity guard) makes the re-run's
-// bytes identical, so clients cannot observe the failover.
+// HTTP surface a single daemon exposes, built from the daemon's route
+// table. Submits are routed by consistent hashing of their content
+// address (server.Key, the key the shards cache under), so identical
+// work — however it is spelled — always lands on the same shard and the
+// shards' result caches compose into a distributed cache. Status,
+// stream, artifact and cancel requests are proxied to the owning shard.
+// When a shard dies, its jobs are requeued to the next ring position
+// and client streams resume at the exact byte offset already forwarded
+// — output determinism (the golden byte-identity guard) makes the
+// re-run's bytes identical, so clients cannot observe the failover.
 type Coordinator struct {
 	cfg    Config
 	ring   *Ring
-	sc     *shardClient
+	client *Client
 	prober *prober
 	mux    *http.ServeMux
 	log    *slog.Logger
@@ -112,7 +109,7 @@ type cjob struct {
 	id   string
 	kind string
 	path string // submit path, e.g. /v1/experiments
-	key  string // routing key
+	key  string // content address (server.Key), the ring placement
 	body []byte // original submit body, forwarded verbatim
 
 	// sc is the job's root span context on the coordinator (trace
@@ -147,13 +144,22 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, errors.New("cluster: at least one worker shard is required")
 	}
 	for i, s := range cfg.Shards {
-		cfg.Shards[i] = trimSlash(s)
+		cfg.Shards[i] = strings.TrimRight(s, "/")
 	}
 	if cfg.MaxRequeues <= 0 {
 		cfg.MaxRequeues = 2 * len(cfg.Shards)
 	}
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 4096
+	}
+	if cfg.RequestTimeout <= 0 {
+		cfg.RequestTimeout = 30 * time.Second
+	}
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = 2 * time.Second
+	}
+	if cfg.ProbeTimeout <= 0 {
+		cfg.ProbeTimeout = 2 * time.Second
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -164,7 +170,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		ring:   NewRing(cfg.Shards, cfg.Replicas),
-		sc:     newShardClient(cfg.RequestTimeout, cfg.Backoff, cfg.Transport),
+		client: NewClient(cfg.RequestTimeout, cfg.Backoff, cfg.Transport),
 		log:    cfg.Logger,
 		jobs:   map[string]*cjob{},
 		spans:  obs.NewStore(0, 0),
@@ -178,7 +184,7 @@ func New(cfg Config) (*Coordinator, error) {
 	// ring — counter monotonicity holds per series for the life of the
 	// coordinator process.
 	c.m.seed(cfg.Shards)
-	c.prober = newProber(cfg.Shards, c.sc, cfg.ProbeInterval, cfg.ProbeTimeout, c.log,
+	c.prober = newProber(cfg.Shards, c.client, cfg.ProbeInterval, cfg.ProbeTimeout, c.log,
 		func(shard int, healthy bool) {
 			if !healthy {
 				c.m.probeDowns.inc(cfg.Shards[shard])
@@ -204,13 +210,6 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-func trimSlash(s string) string {
-	for len(s) > 0 && s[len(s)-1] == '/' {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
 // Handler returns the coordinator's HTTP surface.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
@@ -230,123 +229,77 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	return c.tuner.Shutdown(ctx)
 }
 
-// routeKey content-addresses a submit for placement: the job kind and
-// the body's canonical JSON (sorted keys, insignificant whitespace
-// dropped, numbers kept verbatim), hashed. Placement does not need to
-// equal the workers' cache keys — it only needs to be stable, so that
-// identical submits always reach the shard holding the cached result.
-func routeKey(kind string, body []byte) (string, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return "", err
-	}
-	canon, err := json.Marshal(v)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write(canon)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // ---- HTTP surface ----
 
+// routes builds the coordinator's mux from the daemon's route table,
+// serving each route the way the table says. Routes the coordinator
+// answers itself need a handler here; ones without are left out, which
+// the route-parity test reports.
 func (c *Coordinator) routes() {
+	self := map[string]http.HandlerFunc{
+		"GET /metrics":                 c.handleMetrics,
+		"GET /healthz":                 c.handleHealthz,
+		"GET /v1/debug/flightrecorder": c.handleFlightRecorder,
+	}
+	owner := map[string]func(http.ResponseWriter, *http.Request, *cjob){
+		"GET /v1/jobs/{id}":        c.getJob,
+		"GET /v1/jobs/{id}/stream": c.streamJob,
+		"GET /v1/jobs/{id}/spans":  c.jobSpans,
+		"DELETE /v1/jobs/{id}":     c.cancelJob,
+	}
 	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/experiments", c.submitHandler("experiment"))
-	c.mux.HandleFunc("POST /v1/dirtbuster", c.submitHandler("dirtbuster"))
-	c.mux.HandleFunc("POST /v1/trace", c.submitHandler("trace"))
-	c.mux.HandleFunc("POST /v1/scenarios", c.submitHandler("scenario"))
-	c.mux.HandleFunc("POST /v1/eval", c.submitHandler("eval"))
-	c.mux.HandleFunc("POST /v1/autotune", c.embedded)
-	c.mux.HandleFunc("POST /v1/traces", c.embedded)
-	c.mux.HandleFunc("GET /v1/traces", c.embedded)
-	c.mux.HandleFunc("PUT /v1/traces/uploads/{id}", c.embedded)
-	c.mux.HandleFunc("POST /v1/traces/uploads/{id}/commit", c.embedded)
-	c.mux.HandleFunc("DELETE /v1/traces/uploads/{id}", c.embedded)
-	c.mux.HandleFunc("GET /v1/traces/{address}", c.embedded)
-	c.mux.HandleFunc("DELETE /v1/traces/{address}", c.embedded)
-	c.mux.HandleFunc("POST /v1/analyses", c.embedded)
-	c.mux.HandleFunc("GET /v1/experiments", c.passthrough("/v1/experiments"))
-	c.mux.HandleFunc("GET /v1/registry", c.passthrough("/v1/registry"))
-	c.mux.HandleFunc("GET /v1/workloads", c.passthrough("/v1/workloads"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleGetJob)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/stream", c.handleStreamJob)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/timeline", c.artifactHandler("timeline"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/linereport", c.artifactHandler("linereport"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/trajectory", c.artifactHandler("trajectory"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/winner", c.artifactHandler("winner"))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/spans", c.handleJobSpans)
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancelJob)
-	c.mux.HandleFunc("GET /v1/debug/flightrecorder", c.handleFlightRecorder)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
+	for _, rt := range server.Routes() {
+		var h http.HandlerFunc
+		switch rt.Cluster {
+		case server.Routed:
+			h = c.submitHandler(rt)
+		case server.Embedded:
+			h = c.embedded
+		case server.AnyShard:
+			h = c.passthrough
+		case server.Owner:
+			serve := owner[rt.Pattern]
+			if serve == nil {
+				serve = c.proxyToOwner
+			}
+			h = c.owned(serve)
+		case server.Self:
+			h = self[rt.Pattern]
+		}
+		if h != nil {
+			c.mux.HandleFunc(rt.Pattern, h)
+		}
+	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// relay answers with a shard's response verbatim.
+func relay(w http.ResponseWriter, resp *Response) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.WriteHeader(resp.Code)
+	w.Write(resp.Body)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func streamRequested(r *http.Request) bool {
-	v := r.URL.Query().Get("stream")
-	return v == "1" || v == "true"
-}
-
-// parseOffset reads the ?offset=N replay parameter (0 when absent).
-func parseOffset(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("offset")
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad offset %q (want a non-negative integer)", v)
-	}
-	return n, nil
-}
-
-// submitHandler routes one submit: compute the routing key, walk the
-// ring's preference order over healthy shards, forward the body
-// verbatim, and rewrite the answering shard's job handle into the
+// submitHandler routes one submit: compute its content address, walk
+// the ring's preference order over healthy shards, forward the body
+// verbatim, and rewrite the answering shard's job ID into the
 // coordinator's namespace. Application-level answers (429 queue full,
 // 400 bad spec, 404 unknown experiment) pass through untouched — only
 // a shard that fails to answer at all is demoted and skipped.
-func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
-	path := map[string]string{
-		"experiment": "/v1/experiments",
-		"dirtbuster": "/v1/dirtbuster",
-		"trace":      "/v1/trace",
-		"scenario":   "/v1/scenarios",
-		"eval":       "/v1/eval",
-	}[kind]
+func (c *Coordinator) submitHandler(rt server.Route) http.HandlerFunc {
+	kind, path := rt.Kind, rt.Path()
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "reading body: %v", err)
+			server.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			writeError(w, http.StatusServiceUnavailable, "shutting down")
+		if c.isClosed() {
+			server.WriteError(w, http.StatusServiceUnavailable, "shutting down")
 			return
 		}
-		key, err := routeKey(kind, body)
+		key, err := server.Key(kind, body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			server.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 
@@ -366,7 +319,7 @@ func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
 			}
 			tried++
 			attempt := time.Now()
-			sr, err := c.sc.submit(rctx, c.cfg.Shards[shard], path, body)
+			resp, err := c.client.Do(rctx, "POST", c.cfg.Shards[shard]+path, "application/json", body)
 			if err != nil {
 				if r.Context().Err() != nil {
 					return // client gone; nothing to answer
@@ -376,55 +329,59 @@ func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
 				c.shardFailed(shard, "submit", err)
 				continue
 			}
-			if sr.status == nil {
-				// Application-level answer (429/400/404/...): verbatim.
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(sr.code)
-				w.Write(sr.body)
+			st := resp.Job()
+			if st == nil {
+				relay(w, resp) // application-level answer (429/400/404/...)
 				return
 			}
+			cached := resp.Code == http.StatusOK
 			c.tracer.Record(sc, "route", attempt, time.Now(),
 				obs.KV("shard", c.cfg.Shards[shard]), obs.KV("kind", kind),
-				obs.KV("remote", sr.status.ID), obs.KV("cached", fmt.Sprint(sr.code == http.StatusOK)))
+				obs.KV("remote", st.ID), obs.KV("cached", fmt.Sprint(cached)))
 			j := &cjob{kind: kind, path: path, key: key, body: body,
-				shard: shard, remoteID: sr.status.ID,
+				shard: shard, remoteID: st.ID,
 				sc: sc, parentSpan: clientSC.Span, submitted: submitted}
-			st := *sr.status
-			if sr.code == http.StatusOK { // shard cache hit: already terminal
-				j.result = &st
+			if cached { // shard cache hit: already terminal
 				c.m.cacheHits.inc(c.cfg.Shards[shard])
 			} else {
 				c.m.routed.inc(c.cfg.Shards[shard])
 			}
 			c.addJob(j)
-			st.ID = j.id
-			st.Key = key
-			if j.result != nil {
-				j.result.ID = j.id
-				j.result.Key = key
-				c.closeRootSpan(j, j.result.State) // born terminal: shard cache hit
+			*st = j.rewrite(*st)
+			if cached {
+				res := *st
+				j.mu.Lock()
+				j.result = &res
+				j.mu.Unlock()
+				c.closeRootSpan(j, res.State) // born terminal
 			} else {
 				c.flight.Recordf("job.routed", j.id, sc.Trace.String(), "%s -> %s (%s)",
 					kind, c.cfg.Shards[shard], j.remoteID)
 			}
 			c.log.Info("job routed", "job", j.id, "kind", kind,
-				"shard", c.cfg.Shards[shard], "remote", j.remoteID, "cached", sr.code == http.StatusOK,
+				"shard", c.cfg.Shards[shard], "remote", j.remoteID, "cached", cached,
 				"trace", sc.Trace.String())
-			if streamRequested(r) {
+			if server.StreamRequested(r) {
 				c.streamProxy(w, r, j, 0)
 				return
 			}
-			writeJSON(w, sr.code, st)
+			server.WriteJSON(w, resp.Code, st)
 			return
 		}
 		c.m.rejected.Add(1)
 		c.flight.Record("job.rejected", "", sc.Trace.String(), kind)
 		if tried == 0 {
-			writeError(w, http.StatusServiceUnavailable, "%v (of %d)", errNoHealthyShard, len(c.cfg.Shards))
+			server.WriteError(w, http.StatusServiceUnavailable, "%v (of %d)", errNoHealthyShard, len(c.cfg.Shards))
 			return
 		}
-		writeError(w, http.StatusBadGateway, "every healthy shard failed to accept the job")
+		server.WriteError(w, http.StatusBadGateway, "every healthy shard failed to accept the job")
 	}
+}
+
+func (c *Coordinator) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
 }
 
 // embedded delegates a request to the embedded host: autotuning
@@ -434,25 +391,31 @@ func (c *Coordinator) submitHandler(kind string) http.HandlerFunc {
 // analysis jobs run there with per-chunk work fanned out across the
 // shards by chunk content-address).
 func (c *Coordinator) embedded(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		writeError(w, http.StatusServiceUnavailable, "shutting down")
+	if c.isClosed() {
+		server.WriteError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
 	c.tuner.Handler().ServeHTTP(w, r)
 }
 
-// delegated dispatches a /v1/jobs request by ID namespace: routed jobs
-// carry "cjob-" IDs, everything else belongs to the embedded autotune
-// host and is answered by it directly.
-func (c *Coordinator) delegated(w http.ResponseWriter, r *http.Request) bool {
-	if strings.HasPrefix(r.PathValue("id"), "cjob-") {
-		return false
+// owned dispatches a /v1/jobs/{id} request by ID namespace: routed jobs
+// carry "cjob-" IDs and are served for the shard that owns them;
+// everything else belongs to the embedded host and is answered by it
+// directly.
+func (c *Coordinator) owned(serve func(http.ResponseWriter, *http.Request, *cjob)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if !strings.HasPrefix(id, "cjob-") {
+			c.tuner.Handler().ServeHTTP(w, r)
+			return
+		}
+		j := c.job(id)
+		if j == nil {
+			server.WriteError(w, http.StatusNotFound, "unknown job %q", id)
+			return
+		}
+		serve(w, r, j)
 	}
-	c.tuner.Handler().ServeHTTP(w, r)
-	return true
 }
 
 // addJob registers a routed job under a coordinator-namespaced ID
@@ -485,7 +448,7 @@ func (c *Coordinator) shardFailed(shard int, op string, err error) {
 	c.prober.markDown(shard)
 }
 
-// setResult records a terminal status (ID/key already rewritten).
+// setResult records a terminal status (ID already rewritten).
 func (c *Coordinator) setResult(j *cjob, st server.JobStatus) {
 	j.mu.Lock()
 	first := j.result == nil
@@ -513,9 +476,10 @@ func (c *Coordinator) closeRootSpan(j *cjob, state string) {
 }
 
 // rewrite maps a shard's job status into the coordinator's namespace.
+// The key stays the shard's: it is the content address the job was
+// placed by.
 func (j *cjob) rewrite(st server.JobStatus) server.JobStatus {
 	st.ID = j.id
-	st.Key = j.key
 	return st
 }
 
@@ -524,8 +488,8 @@ func (j *cjob) rewrite(st server.JobStatus) server.JobStatus {
 // target's local cache may already hold the result (it ran the key
 // before, or the job finished just before the shard died and another
 // client warmed it) — then the requeue resolves to a terminal status
-// immediately. 429s from the target are absorbed with the shared
-// backoff schedule inside ctx's budget. Safe to call from concurrent
+// immediately. 429s from the target are absorbed by the shared submit
+// loop within one request timeout. Safe to call from concurrent
 // proxies: only the caller that still observes the failed placement
 // moves the job.
 func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, failedRemoteID string) error {
@@ -553,78 +517,68 @@ func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, fai
 	// merged span tree shows the whole failover.
 	ctx = obs.ContextWithSpan(ctx, j.sc)
 	rqStart := time.Now()
+	from := c.cfg.Shards[failedShard]
 	for _, target := range c.ring.Sequence(j.key) {
 		if target == failedShard || !c.prober.healthy(target) {
 			continue
 		}
-		for attempt := 0; ; attempt++ {
-			sr, err := c.sc.submit(ctx, c.cfg.Shards[target], j.path, j.body)
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				c.shardFailed(target, "requeue", err)
-				break // next shard
-			}
-			switch {
-			case sr.status != nil && sr.code == http.StatusAccepted:
-				j.mu.Lock()
-				j.shard, j.remoteID = target, sr.status.ID
-				j.mu.Unlock()
-				c.m.requeued.inc(c.cfg.Shards[failedShard])
-				c.m.routed.inc(c.cfg.Shards[target])
-				c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
-					obs.KV("from", c.cfg.Shards[failedShard]), obs.KV("to", c.cfg.Shards[target]),
-					obs.KV("remote", sr.status.ID))
-				c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (%s)",
-					c.cfg.Shards[failedShard], c.cfg.Shards[target], sr.status.ID)
-				c.log.Warn("job requeued", "job", j.id,
-					"from", c.cfg.Shards[failedShard], "to", c.cfg.Shards[target], "remote", sr.status.ID)
-				return nil
-			case sr.status != nil && sr.code == http.StatusOK:
-				st := j.rewrite(*sr.status)
-				c.m.requeued.inc(c.cfg.Shards[failedShard])
-				c.m.cacheHits.inc(c.cfg.Shards[target])
-				c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
-					obs.KV("from", c.cfg.Shards[failedShard]), obs.KV("to", c.cfg.Shards[target]),
-					obs.KV("outcome", "cached"))
-				c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (cached result)",
-					c.cfg.Shards[failedShard], c.cfg.Shards[target])
-				c.setResult(j, st)
-				c.log.Warn("job requeued to cached result", "job", j.id,
-					"from", c.cfg.Shards[failedShard], "to", c.cfg.Shards[target])
-				return nil
-			case sr.code == http.StatusTooManyRequests:
-				if attempt >= 8 {
-					return fmt.Errorf("shard %s queue stayed full through %d retries", c.cfg.Shards[target], attempt)
-				}
-				if err := c.sc.bo.Sleep(ctx, attempt); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("shard %s rejected requeued job: %d %s",
-					c.cfg.Shards[target], sr.code, bytes.TrimSpace(sr.body))
-			}
+		to := c.cfg.Shards[target]
+		resp, err := c.submitRetrying(ctx, to+j.path, "application/json", j.body)
+		switch {
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case errors.Is(err, ErrQueueFull):
+			return fmt.Errorf("shard %s: %w", to, err)
+		case err != nil:
+			c.shardFailed(target, "requeue", err)
+			continue // next shard
+		}
+		st := resp.Job()
+		switch {
+		case st != nil && resp.Code == http.StatusAccepted:
+			j.mu.Lock()
+			j.shard, j.remoteID = target, st.ID
+			j.mu.Unlock()
+			c.m.requeued.inc(from)
+			c.m.routed.inc(to)
+			c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
+				obs.KV("from", from), obs.KV("to", to), obs.KV("remote", st.ID))
+			c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (%s)", from, to, st.ID)
+			c.log.Warn("job requeued", "job", j.id, "from", from, "to", to, "remote", st.ID)
+			return nil
+		case st != nil && resp.Code == http.StatusOK:
+			c.m.requeued.inc(from)
+			c.m.cacheHits.inc(to)
+			c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
+				obs.KV("from", from), obs.KV("to", to), obs.KV("outcome", "cached"))
+			c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (cached result)", from, to)
+			c.setResult(j, j.rewrite(*st))
+			c.log.Warn("job requeued to cached result", "job", j.id, "from", from, "to", to)
+			return nil
+		default:
+			return fmt.Errorf("shard %s rejected requeued job: %d %s", to, resp.Code, bytes.TrimSpace(resp.Body))
 		}
 	}
 	return errNoHealthyShard
 }
 
-func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	if c.delegated(w, r) {
-		return
-	}
-	j := c.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
+// submitRetrying posts to a shard through the shared 429 loop, with one
+// request timeout as its retry budget.
+func (c *Coordinator) submitRetrying(ctx context.Context, url, contentType string, body []byte) (*Response, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	defer cancel()
+	return c.client.Submit(ctx, url, contentType, body)
+}
+
+// getJob serves a routed job's status, requeuing it when its shard is
+// lost.
+func (c *Coordinator) getJob(w http.ResponseWriter, r *http.Request, j *cjob) {
 	shard, remoteID, res := j.placement()
 	if res != nil {
-		writeJSON(w, http.StatusOK, *res)
+		server.WriteJSON(w, http.StatusOK, *res)
 		return
 	}
-	sr, err := c.sc.jobStatus(r.Context(), c.cfg.Shards[shard], remoteID)
+	resp, err := c.client.Get(r.Context(), c.cfg.Shards[shard]+"/v1/jobs/"+remoteID)
 	lost := false
 	if err != nil {
 		if r.Context().Err() != nil {
@@ -632,50 +586,42 @@ func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		}
 		c.shardFailed(shard, "status", err)
 		lost = true
-	} else if sr.code == http.StatusNotFound {
+	} else if resp.Code == http.StatusNotFound {
 		lost = true // worker restarted and lost its jobs
 	}
 	if lost {
 		if err := c.requeue(r.Context(), j, shard, remoteID); err != nil {
-			writeError(w, http.StatusBadGateway, "shard lost and requeue failed: %v", err)
+			server.WriteError(w, http.StatusBadGateway, "shard lost and requeue failed: %v", err)
 			return
 		}
 		if _, _, res := j.placement(); res != nil {
-			writeJSON(w, http.StatusOK, *res)
+			server.WriteJSON(w, http.StatusOK, *res)
 			return
 		}
-		writeJSON(w, http.StatusOK, server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "queued"})
+		server.WriteJSON(w, http.StatusOK, server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "queued"})
 		return
 	}
-	if sr.status == nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(sr.code)
-		w.Write(sr.body)
+	st := resp.Job()
+	if st == nil {
+		relay(w, resp)
 		return
 	}
-	st := j.rewrite(*sr.status)
+	*st = j.rewrite(*st)
 	switch st.State {
 	case "done", "failed", "cancelled":
-		c.setResult(j, st)
+		c.setResult(j, *st)
 	}
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
-func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	if c.delegated(w, r) {
-		return
-	}
-	j := c.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
+// cancelJob DELETEs a routed job on its shard.
+func (c *Coordinator) cancelJob(w http.ResponseWriter, r *http.Request, j *cjob) {
 	shard, remoteID, res := j.placement()
 	if res != nil {
-		writeJSON(w, http.StatusOK, *res)
+		server.WriteJSON(w, http.StatusOK, *res)
 		return
 	}
-	sr, err := c.sc.cancel(r.Context(), c.cfg.Shards[shard], remoteID)
+	resp, err := c.client.Cancel(r.Context(), c.cfg.Shards[shard], remoteID)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return
@@ -685,75 +631,57 @@ func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		c.shardFailed(shard, "cancel", err)
 		st := server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "cancelled"}
 		c.setResult(j, st)
-		writeJSON(w, http.StatusOK, st)
+		server.WriteJSON(w, http.StatusOK, st)
 		return
 	}
-	if sr.status == nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(sr.code)
-		w.Write(sr.body)
+	st := resp.Job()
+	if st == nil {
+		relay(w, resp)
 		return
 	}
-	writeJSON(w, sr.code, j.rewrite(*sr.status))
+	server.WriteJSON(w, resp.Code, j.rewrite(*st))
 }
 
-// artifactHandler proxies a job's telemetry artifact from its shard.
-func (c *Coordinator) artifactHandler(name string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if c.delegated(w, r) {
+// proxyToOwner forwards a job request (a telemetry artifact) to the
+// owning shard, with the job ID swapped for the shard's.
+func (c *Coordinator) proxyToOwner(w http.ResponseWriter, r *http.Request, j *cjob) {
+	shard, remoteID, _ := j.placement()
+	path := "/v1/jobs/" + remoteID + strings.TrimPrefix(r.URL.Path, "/v1/jobs/"+j.id)
+	resp, err := c.client.Do(r.Context(), r.Method, c.cfg.Shards[shard]+path, "", nil)
+	if err != nil {
+		if r.Context().Err() != nil {
 			return
 		}
-		j := c.job(r.PathValue("id"))
-		if j == nil {
-			writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-			return
-		}
-		shard, remoteID, _ := j.placement()
-		sr, err := c.sc.do(r.Context(), "GET", c.cfg.Shards[shard]+"/v1/jobs/"+remoteID+"/"+name, nil)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return
-			}
-			c.shardFailed(shard, "artifact", err)
-			writeError(w, http.StatusBadGateway, "shard %s unreachable: %v", c.cfg.Shards[shard], err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(sr.code)
-		w.Write(sr.body)
+		c.shardFailed(shard, "artifact", err)
+		server.WriteError(w, http.StatusBadGateway, "shard %s unreachable: %v", c.cfg.Shards[shard], err)
+		return
 	}
+	relay(w, resp)
 }
 
 // passthrough proxies a read-only listing to the first healthy shard:
 // every worker runs the same binary, so any of them can answer.
-func (c *Coordinator) passthrough(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		for shard := range c.cfg.Shards {
-			if !c.prober.healthy(shard) {
-				continue
-			}
-			sr, err := c.sc.do(r.Context(), "GET", c.cfg.Shards[shard]+path, nil)
-			if err != nil {
-				if r.Context().Err() != nil {
-					return
-				}
-				c.shardFailed(shard, "passthrough", err)
-				continue
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(sr.code)
-			w.Write(sr.body)
-			return
+func (c *Coordinator) passthrough(w http.ResponseWriter, r *http.Request) {
+	for shard := range c.cfg.Shards {
+		if !c.prober.healthy(shard) {
+			continue
 		}
-		writeError(w, http.StatusServiceUnavailable, "%v (of %d)", errNoHealthyShard, len(c.cfg.Shards))
+		resp, err := c.client.Get(r.Context(), c.cfg.Shards[shard]+r.URL.RequestURI())
+		if err != nil {
+			if r.Context().Err() != nil {
+				return
+			}
+			c.shardFailed(shard, "passthrough", err)
+			continue
+		}
+		relay(w, resp)
+		return
 	}
+	server.WriteError(w, http.StatusServiceUnavailable, "%v (of %d)", errNoHealthyShard, len(c.cfg.Shards))
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.isClosed() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -776,33 +704,17 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.writeFederated(r.Context(), w)
 }
 
-// handleJobSpans serves a routed job's merged span timeline: the
+// jobSpans serves a routed job's merged span timeline: the
 // coordinator's own spans (root, queue routing, requeues) plus the
 // owning shard's spans for the same trace, fetched live. The shard
 // fetch is best-effort — a dead shard degrades the artifact to the
 // coordinator's side of the story rather than failing the request.
-func (c *Coordinator) handleJobSpans(w http.ResponseWriter, r *http.Request) {
-	if c.delegated(w, r) {
-		return
-	}
-	j := c.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
+func (c *Coordinator) jobSpans(w http.ResponseWriter, r *http.Request, j *cjob) {
 	spans, dropped := c.spans.Spans(j.sc.Trace)
 	shard, remoteID, _ := j.placement()
-	if sr, err := c.sc.do(r.Context(), "GET", c.cfg.Shards[shard]+"/v1/jobs/"+remoteID+"/spans", nil); err == nil && sr.code == http.StatusOK {
-		var remote struct {
-			OtherData struct {
-				Dropped int `json:"droppedSpans"`
-			} `json:"otherData"`
-			Spans []obs.Span `json:"spans"`
-		}
-		if json.Unmarshal(sr.body, &remote) == nil {
-			spans = append(spans, remote.Spans...)
-			dropped += remote.OtherData.Dropped
-		}
+	if remote, rdropped, err := c.client.Spans(r.Context(), c.cfg.Shards[shard], remoteID); err == nil {
+		spans = append(spans, remote...)
+		dropped += rdropped
 	}
 	w.Header().Set("Content-Type", "application/json")
 	telemetry.WriteSpanTimeline(w, spans, dropped)
@@ -818,28 +730,13 @@ func (c *Coordinator) handleFlightRecorder(w http.ResponseWriter, r *http.Reques
 
 // ---- stream proxying ----
 
-// streamEvent mirrors the worker daemon's NDJSON stream line.
-type streamEvent struct {
-	Event string            `json:"event"`
-	Data  string            `json:"data,omitempty"`
-	Job   *server.JobStatus `json:"job,omitempty"`
-}
-
-func (c *Coordinator) handleStreamJob(w http.ResponseWriter, r *http.Request) {
-	if c.delegated(w, r) {
-		return
-	}
-	j := c.job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	off, err := parseOffset(r)
+func (c *Coordinator) streamJob(w http.ResponseWriter, r *http.Request, j *cjob) {
+	off, err := server.Offset(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	c.streamProxy(w, r, j, off)
+	c.streamProxy(w, r, j, int(off))
 }
 
 // streamProxy follows a job's stream across shard failures. It tracks
@@ -850,15 +747,8 @@ func (c *Coordinator) handleStreamJob(w http.ResponseWriter, r *http.Request) {
 // healthy (a transient drop must not forfeit its cache placement);
 // a dead or amnesiac shard triggers a requeue.
 func (c *Coordinator) streamProxy(w http.ResponseWriter, r *http.Request, j *cjob, clientOff int) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
+	ctx := r.Context()
+	sw := server.NewStreamWriter(w)
 	c.m.streamsUp.Add(1)
 	defer c.m.streamsUp.Add(-1)
 
@@ -866,26 +756,26 @@ func (c *Coordinator) streamProxy(w http.ResponseWriter, r *http.Request, j *cjo
 	sentStatus := false
 	reconnects := 0
 	for {
-		if r.Context().Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
 		shard, remoteID, res := j.placement()
 		if res != nil {
-			c.emitTerminal(enc, flush, *res, forwarded, sentStatus)
+			emitTerminal(sw, *res, forwarded, sentStatus)
 			return
 		}
 
-		body, err := c.sc.openStream(r.Context(), c.cfg.Shards[shard], remoteID, forwarded)
+		s, err := c.client.Attach(ctx, c.cfg.Shards[shard], remoteID, forwarded)
 		progressed := false
 		if err == nil {
 			var done bool
-			done, progressed = c.copyStream(enc, flush, j, body, &forwarded, &sentStatus, r.Context())
-			body.Close()
+			done, progressed, err = c.copyStream(ctx, sw, j, s, &forwarded, &sentStatus)
+			s.Close()
 			if done {
 				return
 			}
 		}
-		if r.Context().Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
 		if progressed {
@@ -894,13 +784,13 @@ func (c *Coordinator) streamProxy(w http.ResponseWriter, r *http.Request, j *cjo
 
 		// The stream broke (or never attached). Decide: same-shard
 		// reconnect, or requeue.
-		var sse *streamStatusError
-		lostJob := errors.As(err, &sse) && sse.code == http.StatusNotFound
+		var se *StatusError
+		lostJob := errors.As(err, &se) && se.Code == http.StatusNotFound
 		sameShardOK := !lostJob && reconnects < 3 &&
-			c.sc.healthy(r.Context(), c.cfg.Shards[shard], c.proberTimeout())
+			c.client.Healthy(ctx, c.cfg.Shards[shard], c.cfg.ProbeTimeout)
 		if sameShardOK {
 			reconnects++
-			if c.sc.bo.Sleep(r.Context(), reconnects-1) != nil {
+			if c.cfg.Backoff.Sleep(ctx, reconnects-1) != nil {
 				return
 			}
 			continue
@@ -908,43 +798,33 @@ func (c *Coordinator) streamProxy(w http.ResponseWriter, r *http.Request, j *cjo
 		if !lostJob {
 			c.shardFailed(shard, "stream", err)
 		}
-		if rqErr := c.requeue(r.Context(), j, shard, remoteID); rqErr != nil {
-			if r.Context().Err() != nil {
+		if rqErr := c.requeue(ctx, j, shard, remoteID); rqErr != nil {
+			if ctx.Err() != nil {
 				return
 			}
 			st := server.JobStatus{ID: j.id, Kind: j.kind, Key: j.key, State: "failed",
 				Error:  rqErr.Error(),
 				Result: &bench.Result{ID: j.kind, Title: "lost to shard failure", Err: rqErr.Error()}}
 			c.setResult(j, st)
-			enc.Encode(streamEvent{Event: "done", Job: &st})
-			flush()
+			sw.Send(server.StreamEvent{Event: "done", Job: &st})
 			return
 		}
 		reconnects = 0
 	}
 }
 
-func (c *Coordinator) proberTimeout() time.Duration {
-	if c.cfg.ProbeTimeout > 0 {
-		return c.cfg.ProbeTimeout
-	}
-	return 2 * time.Second
-}
-
 // copyStream forwards one attached shard stream to the client until it
-// ends. Returns done=true when the terminal event was delivered, and
-// whether any output bytes were forwarded (progress resets the
-// reconnect budget). Duplicate status events from reattaches are
-// suppressed; output offsets are accounted so reattaches never repeat
-// a byte.
-func (c *Coordinator) copyStream(enc *json.Encoder, flush func(), j *cjob,
-	body io.Reader, forwarded *int, sentStatus *bool, ctx context.Context) (done, progressed bool) {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		var ev streamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return false, progressed // treat like transport loss
+// ends. Returns done=true when the terminal event was delivered (or the
+// client is gone), whether any output bytes were forwarded (progress
+// resets the reconnect budget), and why the stream ended otherwise.
+// Duplicate status events from reattaches are suppressed; output
+// offsets are accounted so reattaches never repeat a byte.
+func (c *Coordinator) copyStream(ctx context.Context, sw *server.StreamWriter, j *cjob,
+	s *Stream, forwarded *int, sentStatus *bool) (done, progressed bool, err error) {
+	for {
+		ev, err := s.Next()
+		if err != nil {
+			return false, progressed, err
 		}
 		switch ev.Event {
 		case "status":
@@ -955,54 +835,43 @@ func (c *Coordinator) copyStream(enc *json.Encoder, flush func(), j *cjob,
 				st := j.rewrite(*ev.Job)
 				ev.Job = &st
 			}
-			if enc.Encode(ev) != nil {
-				return true, progressed // client gone: ctx will end the proxy
+			if sw.Send(*ev) != nil {
+				return true, progressed, nil // client gone: ctx will end the proxy
 			}
 			*sentStatus = true
-			flush()
 		case "output":
 			*forwarded += len(ev.Data)
 			progressed = true
-			if enc.Encode(ev) != nil {
-				return true, progressed
+			if sw.Send(*ev) != nil {
+				return true, progressed, nil
 			}
-			flush()
 		case "done":
 			if ev.Job == nil {
-				return false, progressed
+				return false, progressed, errors.New("done event without a job status")
 			}
 			st := j.rewrite(*ev.Job)
 			c.setResult(j, st)
 			ev.Job = &st
-			enc.Encode(ev)
-			flush()
-			return true, progressed
+			sw.Send(*ev)
+			return true, progressed, nil
 		}
 		if ctx.Err() != nil {
-			return true, progressed
+			return true, progressed, nil
 		}
 	}
-	return false, progressed
 }
 
 // emitTerminal serves a stream request for a job whose terminal status
 // the coordinator already holds (shard cache hit, or a requeue that
 // resolved to a cached result): replay the remaining output bytes and
 // the done event. Deterministic output makes the suffix exact.
-func (c *Coordinator) emitTerminal(enc *json.Encoder, flush func(),
-	st server.JobStatus, forwarded int, sentStatus bool) {
-	if !sentStatus {
-		if enc.Encode(streamEvent{Event: "status", Job: &st}) != nil {
-			return
-		}
-		flush()
+func emitTerminal(sw *server.StreamWriter, st server.JobStatus, forwarded int, sentStatus bool) {
+	if !sentStatus && sw.Send(server.StreamEvent{Event: "status", Job: &st}) != nil {
+		return
 	}
-	if st.Result != nil && forwarded < len(st.Result.Output) {
-		if enc.Encode(streamEvent{Event: "output", Data: st.Result.Output[forwarded:]}) != nil {
-			return
-		}
-		flush()
+	if st.Result != nil && forwarded < len(st.Result.Output) &&
+		sw.Send(server.StreamEvent{Event: "output", Data: st.Result.Output[forwarded:]}) != nil {
+		return
 	}
-	enc.Encode(streamEvent{Event: "done", Job: &st})
-	flush()
+	sw.Send(server.StreamEvent{Event: "done", Job: &st})
 }

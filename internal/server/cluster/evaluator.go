@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"strings"
 
 	"prestores/internal/scenario"
 	"prestores/internal/server"
@@ -79,19 +78,18 @@ func (e clusterEvaluator) await(ctx context.Context, path string, sp scenario.Sp
 	}
 
 	var final *server.JobStatus
-	sc := bufio.NewScanner(&rec.body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		var ev streamEvent
-		if json.Unmarshal(sc.Bytes(), &ev) != nil {
-			continue
+	s := newStream(io.NopCloser(&rec.body))
+	for {
+		ev, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
 		}
 		if ev.Event == "done" && ev.Job != nil {
 			final = ev.Job
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if final == nil {
 		if err := ctx.Err(); err != nil {
@@ -113,15 +111,9 @@ func (e clusterEvaluator) await(ctx context.Context, path string, sp scenario.Sp
 // socket. Responses are buffered whole: streams block until the job's
 // terminal event, which is exactly the rendezvous await needs.
 func (e clusterEvaluator) roundTrip(ctx context.Context, method, path string, body []byte) *responseRecorder {
-	var rd *strings.Reader
-	if body != nil {
-		rd = strings.NewReader(string(body))
-	} else {
-		rd = strings.NewReader("")
-	}
-	req, err := http.NewRequestWithContext(ctx, method, path, rd)
+	rec := newRecorder()
+	req, err := http.NewRequestWithContext(ctx, method, path, bytes.NewReader(body))
 	if err != nil {
-		rec := newRecorder()
 		rec.code = http.StatusInternalServerError
 		fmt.Fprintf(&rec.body, "building request: %v", err)
 		return rec
@@ -129,7 +121,6 @@ func (e clusterEvaluator) roundTrip(ctx context.Context, method, path string, bo
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	rec := newRecorder()
 	e.c.mux.ServeHTTP(rec, req)
 	return rec
 }

@@ -51,12 +51,12 @@ func (c *Coordinator) writeFederated(ctx context.Context, w io.Writer) {
 		if !c.prober.healthy(i) {
 			continue
 		}
-		sr, err := c.sc.do(ctx, "GET", url+"/metrics", nil)
-		if err != nil || sr.code != http.StatusOK {
+		resp, err := c.client.Get(ctx, url+"/metrics")
+		if err != nil || resp.Code != http.StatusOK {
 			c.m.scrapeErrors.inc(url)
 			continue
 		}
-		sources = append(sources, source{url, sr.body})
+		sources = append(sources, source{url, resp.Body})
 	}
 
 	merged := map[string]*obs.Family{}

@@ -15,7 +15,7 @@ import (
 // successful probe — flapping costs a probe interval, not a request.
 type prober struct {
 	shards   []string
-	sc       *shardClient
+	client   *Client
 	interval time.Duration
 	timeout  time.Duration
 	log      *slog.Logger
@@ -26,16 +26,10 @@ type prober struct {
 	done chan struct{}
 }
 
-func newProber(shards []string, sc *shardClient, interval, timeout time.Duration,
+func newProber(shards []string, client *Client, interval, timeout time.Duration,
 	log *slog.Logger, onChange func(int, bool)) *prober {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
 	p := &prober{
-		shards: shards, sc: sc, interval: interval, timeout: timeout,
+		shards: shards, client: client, interval: interval, timeout: timeout,
 		log: log, onChange: onChange,
 		up:   make([]atomic.Bool, len(shards)),
 		stop: make(chan struct{}),
@@ -68,7 +62,7 @@ func (p *prober) run() {
 
 func (p *prober) probeAll() {
 	for i, s := range p.shards {
-		ok := p.sc.healthy(context.Background(), s, p.timeout)
+		ok := p.client.Healthy(context.Background(), s, p.timeout)
 		if p.up[i].Swap(ok) != ok {
 			if ok {
 				p.log.Info("shard healthy", "shard", s)

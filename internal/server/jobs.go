@@ -19,10 +19,30 @@ type experimentSpec struct {
 	Quick bool   `json:"quick"`
 }
 
+func (sp *experimentSpec) normalize() error { return nil }
+
+func (sp *experimentSpec) run(s *Server) (runFunc, error) {
+	e, ok := s.cfg.Lookup(sp.ID)
+	if !ok {
+		return nil, fmt.Errorf("unknown experiment %q; GET /v1/experiments lists the registry", sp.ID)
+	}
+	return s.experimentRun(e, sp.Quick), nil
+}
+
 // dirtbusterSpec is the POST /v1/dirtbuster body.
 type dirtbusterSpec struct {
 	Workload string `json:"workload"`
 	Quick    bool   `json:"quick"`
+}
+
+func (sp *dirtbusterSpec) normalize() error { return nil }
+
+func (sp *dirtbusterSpec) run(s *Server) (runFunc, error) {
+	wl, ok := s.lookupWorkload(sp.Workload, sp.Quick)
+	if !ok {
+		return nil, fmt.Errorf("unknown workload %q; GET /v1/workloads lists them", sp.Workload)
+	}
+	return s.dirtbusterRun(wl), nil
 }
 
 // traceSpec is the POST /v1/trace body: record the named workload's
@@ -37,13 +57,40 @@ type traceSpec struct {
 	PMSize   uint64 `json:"pm_size,omitempty"`
 }
 
+// normalize fills the defaults: the DirtBuster mode, and for pmcheck
+// prestore-trace's persistent range.
+func (sp *traceSpec) normalize() error {
+	if sp.Mode == "" {
+		sp.Mode = "dirtbuster"
+	}
+	if sp.Mode == "pmcheck" {
+		if sp.PMBase == 0 {
+			sp.PMBase = 1 << 40
+		}
+		if sp.PMSize == 0 {
+			sp.PMSize = 256 << 30
+		}
+	}
+	return nil
+}
+
+func (sp *traceSpec) run(s *Server) (runFunc, error) {
+	// Trace recordings always use smoke-sized workloads, like
+	// prestore-trace: full traces of full-size workloads are huge.
+	wl, ok := s.lookupWorkload(sp.Workload, true)
+	if !ok {
+		return nil, fmt.Errorf("unknown workload %q; GET /v1/workloads lists them", sp.Workload)
+	}
+	return s.traceRun(wl, *sp), nil
+}
+
 // experimentRun builds the run function for an experiment job: the
 // bench runner's single-experiment harness (panic containment,
 // timeout, cooperative cancellation, SimOps accounting), streaming
 // output into the progress log as rows are produced. The output bytes
 // are exactly what bench.RunOne writes for the same experiment, which
 // is what the golden-determinism guard asserts.
-func (s *Server) experimentRun(e bench.Experiment, quick bool) func(context.Context, *job) bench.Result {
+func (s *Server) experimentRun(e bench.Experiment, quick bool) runFunc {
 	return func(ctx context.Context, j *job) bench.Result {
 		r, _ := bench.RunOneGuarded(ctx, j.out, e, bench.RunnerConfig{
 			Quick:   quick,
@@ -62,7 +109,7 @@ func (s *Server) experimentRun(e bench.Experiment, quick bool) func(context.Cont
 // from a per-run counter the body's machines attach to via the
 // context, so concurrent jobs never inflate each other's counts.
 func analysisRun(id, title string, timeout time.Duration,
-	body func(ctx context.Context, j *job, out *bytes.Buffer) error) func(context.Context, *job) bench.Result {
+	body func(ctx context.Context, j *job, out *bytes.Buffer) error) runFunc {
 	return func(ctx context.Context, j *job) bench.Result {
 		if timeout > 0 {
 			var cancel context.CancelFunc
@@ -118,7 +165,7 @@ func (s *Server) lookupWorkload(name string, quick bool) (dirtbuster.Workload, b
 }
 
 // dirtbusterRun builds the run function for a DirtBuster analysis job.
-func (s *Server) dirtbusterRun(wl dirtbuster.Workload) func(context.Context, *job) bench.Result {
+func (s *Server) dirtbusterRun(wl dirtbuster.Workload) runFunc {
 	return analysisRun("dirtbuster/"+wl.Name, "DirtBuster analysis of "+wl.Name, s.cfg.JobTimeout,
 		func(ctx context.Context, _ *job, out *bytes.Buffer) error {
 			wl := attachOps(ctx, wl)
@@ -132,11 +179,8 @@ func (s *Server) dirtbusterRun(wl dirtbuster.Workload) func(context.Context, *jo
 // the workload's full operation trace, then analyze the recording
 // offline per spec.Mode. Cancellation is checked between the record
 // and analyze stages.
-func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) func(context.Context, *job) bench.Result {
+func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) runFunc {
 	mode := spec.Mode
-	if mode == "" {
-		mode = "dirtbuster"
-	}
 	return analysisRun("trace/"+mode+"/"+wl.Name, "trace analysis ("+mode+") of "+wl.Name, s.cfg.JobTimeout,
 		func(ctx context.Context, _ *job, out *bytes.Buffer) error {
 			wl := attachOps(ctx, wl)
@@ -162,14 +206,7 @@ func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) func(context.C
 						ft.Fn, ft.Cycles, ft.TimeShare*100, storePct, ft.Ops)
 				}
 			case "pmcheck":
-				base, size := spec.PMBase, spec.PMSize
-				if base == 0 {
-					base = 1 << 40
-				}
-				if size == 0 {
-					size = 256 << 30
-				}
-				res := pmcheck.Check(tb, pmcheck.Config{Base: base, Size: size, LineSize: line})
+				res := pmcheck.Check(tb, pmcheck.Config{Base: spec.PMBase, Size: spec.PMSize, LineSize: line})
 				fmt.Fprintf(out, "pmcheck: %d line-stores checked, %d commits, %d violations\n",
 					res.StoresChecked, res.Commits, len(res.Violations))
 				for _, v := range res.Violations {

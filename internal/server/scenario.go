@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -20,40 +21,30 @@ import (
 type scenarioSpec struct {
 	Spec  json.RawMessage `json:"spec"`
 	Quick bool            `json:"quick"`
+
+	sp scenario.Spec // Spec decoded, set by normalize
 }
 
-// scenarioKey is the cache-key form of a scenario submit: the spec's
-// canonical bytes rather than the client's formatting, so semantically
-// identical submits — reordered keys, extra whitespace — coalesce onto
-// the same cache entry.
-type scenarioKey struct {
-	Spec  json.RawMessage `json:"spec"`
-	Quick bool            `json:"quick"`
-}
-
-func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
-	var body scenarioSpec
-	if !decodeBody(w, r, &body) {
-		return
+// normalize replaces Spec with its canonical bytes rather than the
+// client's formatting, so semantically identical submits — reordered
+// keys, extra whitespace, spelled-out defaults — share one key.
+func (b *scenarioSpec) normalize() error {
+	if len(b.Spec) == 0 {
+		return errors.New("spec: required (a scenario spec object; GET /v1/registry lists the building blocks)")
 	}
-	if len(body.Spec) == 0 {
-		writeError(w, http.StatusBadRequest, "spec: required (a scenario spec object; GET /v1/registry lists the building blocks)")
-		return
-	}
-	sp, err := scenario.Decode(body.Spec)
+	sp, err := scenario.Decode(b.Spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
+		return fmt.Errorf("invalid scenario spec: %v", err)
 	}
 	canon, err := sp.Canonical()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid scenario spec: %v", err)
-		return
+		return fmt.Errorf("invalid scenario spec: %v", err)
 	}
-	key := scenarioKey{Spec: canon, Quick: body.Quick}
-	st, j, err := s.submit("scenario", key, !streamRequested(r), parentFrom(r), s.scenarioRun(sp, body.Quick))
-	s.respondSubmit(w, r, st, j, err)
+	b.Spec, b.sp = canon, sp
+	return nil
 }
+
+func (b *scenarioSpec) run(s *Server) (runFunc, error) { return s.scenarioRun(b.sp, b.Quick), nil }
 
 // scenarioRun builds the run function for a scenario job: the guarded
 // analysis harness around the declarative grid runner. A spec with a
@@ -61,7 +52,7 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 // observer, so concurrent jobs never see each other's machines); the
 // recorded timeline and line report become job artifacts served from
 // GET /v1/jobs/{id}/timeline and .../linereport.
-func (s *Server) scenarioRun(sp scenario.Spec, quick bool) func(context.Context, *job) bench.Result {
+func (s *Server) scenarioRun(sp scenario.Spec, quick bool) runFunc {
 	name := sp.Name
 	if name == "" {
 		name = "custom"
@@ -151,5 +142,5 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 			Sites:       wl.Sites,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

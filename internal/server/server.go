@@ -31,19 +31,19 @@
 //
 // Submits return 202 with a job handle (or 200 with the result on a
 // cache hit), 429 when the queue is full, and 503 while shutting down.
+// The job handle's key is the submit's content address (Key).
+//
+// The route table (Routes) is the one description of this surface:
+// the daemon's mux and a cluster coordinator's are both built from it.
 package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	netpprof "net/http/pprof"
 	"runtime"
 	"strconv"
 	"sync"
@@ -178,7 +178,7 @@ func New(cfg Config) *Server {
 		cfg.Flight = obs.NewFlightRecorder(0)
 	}
 	s := &Server{
-		log: cfg.Logger,
+		log:      cfg.Logger,
 		cfg:      cfg,
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
@@ -215,8 +215,9 @@ func New(cfg Config) *Server {
 // buildVersion is the cache-key namespace: the VCS revision when the
 // binary carries one, else "dev". It is obs.Version, which all the
 // binaries also report via -version and the build_info gauge — one
-// notion of "what build is this" across the fleet.
-func buildVersion() string { return obs.Version() }
+// notion of "what build is this" across the fleet. It is read once:
+// every submit through Key needs it.
+var buildVersion = sync.OnceValue(obs.Version)
 
 // Handler returns the HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -295,17 +296,14 @@ func (s *Server) worker() {
 	}
 }
 
-// submit is the scheduling core: content-address the request, answer
+// submit is the scheduling core: answer the content-addressed request
 // from the cache, coalesce onto an identical in-flight job, or enqueue
 // a new one (429 when the queue is full). detached jobs run to
 // completion even if every watcher disconnects. parent is the caller's
 // span context (extracted from the request's traceparent header): the
 // new job's trace continues it, so a coordinator — or the bench client
 // — sees its remote work under its own trace ID.
-func (s *Server) submit(kind string, spec any, detached bool, parent obs.SpanContext,
-	run func(context.Context, *job) bench.Result) (JobStatus, *job, error) {
-	key := cacheKey(kind, spec, s.cfg.Version)
-
+func (s *Server) submit(kind, key string, detached bool, parent obs.SpanContext, run runFunc) (JobStatus, *job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -520,89 +518,27 @@ func (s *Server) finalizeAbandoned(j *job) {
 	close(j.done)
 }
 
-// cacheKey content-addresses a request: kind, canonical spec JSON and
-// build version, hashed. Identical work submitted twice — across time
-// (cache) or concurrently (coalescing) — maps to the same key.
-func cacheKey(kind string, spec any, version string) string {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		// Specs are plain structs; this cannot fail.
-		panic("server: unmarshalable spec: " + err.Error())
-	}
-	h := sha256.New()
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write([]byte(version))
-	h.Write([]byte{0})
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// ---- HTTP surface ----
-
-func (s *Server) routes() {
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/experiments", s.handleSubmitExperiment)
-	s.mux.HandleFunc("POST /v1/dirtbuster", s.handleSubmitDirtbuster)
-	s.mux.HandleFunc("POST /v1/trace", s.handleSubmitTrace)
-	s.mux.HandleFunc("POST /v1/scenarios", s.handleSubmitScenario)
-	s.mux.HandleFunc("POST /v1/eval", s.handleSubmitEval)
-	s.mux.HandleFunc("POST /v1/autotune", s.handleSubmitAutotune)
-	s.mux.HandleFunc("POST /v1/traces", s.handleTracePost)
-	s.mux.HandleFunc("GET /v1/traces", s.handleTraceList)
-	s.mux.HandleFunc("PUT /v1/traces/uploads/{id}", s.handleTraceUploadPut)
-	s.mux.HandleFunc("POST /v1/traces/uploads/{id}/commit", s.handleTraceUploadCommit)
-	s.mux.HandleFunc("DELETE /v1/traces/uploads/{id}", s.handleTraceUploadAbort)
-	s.mux.HandleFunc("GET /v1/traces/{address}", s.handleTraceGet)
-	s.mux.HandleFunc("DELETE /v1/traces/{address}", s.handleTraceDelete)
-	s.mux.HandleFunc("POST /v1/analyses", s.handleSubmitAnalysis)
-	s.mux.HandleFunc("POST /v1/analyses/chunks", s.handleAnalyzeChunk)
-	s.mux.HandleFunc("GET /v1/experiments", s.handleListExperiments)
-	s.mux.HandleFunc("GET /v1/registry", s.handleRegistry)
-	s.mux.HandleFunc("GET /v1/workloads", s.handleListWorkloads)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStreamJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.artifactHandler("timeline"))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/linereport", s.artifactHandler("linereport"))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trajectory", s.artifactHandler("trajectory"))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/winner", s.artifactHandler("winner"))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/spans", s.handleJobSpans)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/debug/flightrecorder", s.handleFlightRecorder)
-	if s.cfg.EnablePprof {
-		s.mux.HandleFunc("GET /debug/pprof/", netpprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", netpprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", netpprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", netpprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", netpprof.Trace)
-	}
-}
-
-// artifactHandler serves a job's named artifact (recorded telemetry).
+// handleArtifact serves a job's named artifact (recorded telemetry).
 // 409 while the job is still producing it, 404 when the job never
 // recorded one (the submit lacked a telemetry block).
-func (s *Server) artifactHandler(name string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		j := s.job(r.PathValue("id"))
-		if j == nil {
-			writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-			return
-		}
-		if !j.finished() {
-			writeError(w, http.StatusConflict, "job %s is not finished; poll GET /v1/jobs/%s", j.id, j.id)
-			return
-		}
-		data, ok := j.artifact(name)
-		if !ok {
-			writeError(w, http.StatusNotFound,
-				"job %s recorded no %s artifact (telemetry artifacts need a telemetry block on the submit)", j.id, name)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
+func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request, name string) {
+	j := s.job(r.PathValue("id"))
+	if j == nil {
+		WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		return
 	}
+	if !j.finished() {
+		WriteError(w, http.StatusConflict, "job %s is not finished; poll GET /v1/jobs/%s", j.id, j.id)
+		return
+	}
+	data, ok := j.artifact(name)
+	if !ok {
+		WriteError(w, http.StatusNotFound,
+			"job %s recorded no %s artifact (telemetry artifacts need a telemetry block on the submit)", j.id, name)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(data)
 }
 
 // handleJobSpans serves the job's distributed-trace spans as a Chrome
@@ -613,7 +549,7 @@ func (s *Server) artifactHandler(name string) http.HandlerFunc {
 func (s *Server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	spans, dropped := s.spans.Spans(j.sc.Trace)
@@ -637,94 +573,23 @@ func parentFrom(r *http.Request) obs.SpanContext {
 	return sc
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
 // respondSubmit answers a submit: stream the job when requested,
 // otherwise return the job handle (202) or cached result (200).
 func (s *Server) respondSubmit(w http.ResponseWriter, r *http.Request, st JobStatus, j *job, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
-		writeError(w, http.StatusTooManyRequests, "job queue full (depth %d); retry later", s.cfg.QueueDepth)
+		WriteError(w, http.StatusTooManyRequests, "job queue full (depth %d); retry later", s.cfg.QueueDepth)
 	case errors.Is(err, errShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, "shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "shutting down")
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 	case j == nil: // cache hit
-		writeJSON(w, http.StatusOK, st)
-	case streamRequested(r):
+		WriteJSON(w, http.StatusOK, st)
+	case StreamRequested(r):
 		s.streamJob(w, r, j)
 	default:
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	}
-}
-
-func streamRequested(r *http.Request) bool {
-	v := r.URL.Query().Get("stream")
-	return v == "1" || v == "true"
-}
-
-func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) {
-	var spec experimentSpec
-	if !decodeBody(w, r, &spec) {
-		return
-	}
-	e, ok := s.cfg.Lookup(spec.ID)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown experiment %q; GET /v1/experiments lists the registry", spec.ID)
-		return
-	}
-	st, j, err := s.submit("experiment", spec, !streamRequested(r), parentFrom(r), s.experimentRun(e, spec.Quick))
-	s.respondSubmit(w, r, st, j, err)
-}
-
-func (s *Server) handleSubmitDirtbuster(w http.ResponseWriter, r *http.Request) {
-	var spec dirtbusterSpec
-	if !decodeBody(w, r, &spec) {
-		return
-	}
-	wl, ok := s.lookupWorkload(spec.Workload, spec.Quick)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown workload %q; GET /v1/workloads lists them", spec.Workload)
-		return
-	}
-	st, j, err := s.submit("dirtbuster", spec, !streamRequested(r), parentFrom(r), s.dirtbusterRun(wl))
-	s.respondSubmit(w, r, st, j, err)
-}
-
-func (s *Server) handleSubmitTrace(w http.ResponseWriter, r *http.Request) {
-	var spec traceSpec
-	if !decodeBody(w, r, &spec) {
-		return
-	}
-	// Trace recordings always use smoke-sized workloads, like
-	// prestore-trace: full traces of full-size workloads are huge.
-	wl, ok := s.lookupWorkload(spec.Workload, true)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown workload %q; GET /v1/workloads lists them", spec.Workload)
-		return
-	}
-	st, j, err := s.submit("trace", spec, !streamRequested(r), parentFrom(r), s.traceRun(wl, spec))
-	s.respondSubmit(w, r, st, j, err)
 }
 
 func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
@@ -737,7 +602,7 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, e := range bench.All() {
 		out = append(out, entry{ID: e.ID, Title: e.Title, Paper: e.Paper})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleListWorkloads(w http.ResponseWriter, r *http.Request) {
@@ -745,7 +610,7 @@ func (s *Server) handleListWorkloads(w http.ResponseWriter, r *http.Request) {
 	for _, wl := range s.cfg.Workloads(true) {
 		out = append(out, wl.Name)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) job(id string) *job {
@@ -757,33 +622,26 @@ func (s *Server) job(id string) *job {
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	s.cancelJob(j)
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-// streamEvent is one NDJSON line of a progress stream.
-type streamEvent struct {
-	Event string     `json:"event"` // "status", "output", "done"
-	Data  string     `json:"data,omitempty"`
-	Job   *JobStatus `json:"job,omitempty"`
+	WriteJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	s.streamJob(w, r, j)
@@ -799,15 +657,12 @@ func (s *Server) handleStreamJob(w http.ResponseWriter, r *http.Request) {
 // up. The connection is a watcher: if the last watcher of a
 // non-detached job disconnects, the job is cancelled (see unwatch).
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
-	off := 0
-	if v := r.URL.Query().Get("offset"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad offset %q (want a non-negative integer)", v)
-			return
-		}
-		off = n
+	off64, err := Offset(r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
+	off := int(off64)
 	// The stream itself is a span in the job's trace: how long a
 	// watcher followed, and from what byte offset it (re)attached —
 	// reconnect-after-failover shows up as a second stream span with a
@@ -817,33 +672,22 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 		s.tracer.Record(j.sc, "stream.replay", streamStart, time.Now(),
 			obs.KV("offset", strconv.Itoa(attachOff)))
 	}()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
+	sw := NewStreamWriter(w)
 
 	s.watch(j)
 	defer s.unwatch(j)
 
 	st := j.status()
-	if err := enc.Encode(streamEvent{Event: "status", Job: &st}); err != nil {
+	if sw.Send(StreamEvent{Event: "status", Job: &st}) != nil {
 		return
 	}
-	flush()
-
 	for {
 		chunk, noff, closed, wake := j.out.next(off)
 		if len(chunk) > 0 {
 			off = noff
-			if err := enc.Encode(streamEvent{Event: "output", Data: string(chunk)}); err != nil {
+			if sw.Send(StreamEvent{Event: "output", Data: string(chunk)}) != nil {
 				return
 			}
-			flush()
 			continue
 		}
 		if closed {
@@ -857,8 +701,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 	}
 	<-j.done
 	st = j.status()
-	enc.Encode(streamEvent{Event: "done", Job: &st})
-	flush()
+	sw.Send(StreamEvent{Event: "done", Job: &st})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -268,13 +268,13 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 }
 
 // readEvents decodes a full NDJSON stream.
-func readEvents(t *testing.T, r io.Reader) []streamEvent {
+func readEvents(t *testing.T, r io.Reader) []StreamEvent {
 	t.Helper()
-	var evs []streamEvent
+	var evs []StreamEvent
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var ev streamEvent
+		var ev StreamEvent
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -418,7 +418,7 @@ func TestStreamDisconnectCancelsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev streamEvent
+	var ev StreamEvent
 	if err := json.Unmarshal(line, &ev); err != nil || ev.Job == nil {
 		t.Fatalf("first stream line %q: %v", line, err)
 	}
