@@ -5,24 +5,12 @@ import (
 	"fmt"
 	"io"
 
+	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/workloads/nas"
-	"prestores/internal/workloads/tensor"
 )
 
 func init() {
-	register(Experiment{
-		ID:    "fig7",
-		Title: "TensorFlow training proxy on Machine A: clean vs skip, batch-size sweep",
-		Paper: "Fig 7: clean +47% at batch 1 dropping to +20% at large batches; skip loses ~20%",
-		Run:   runFig7,
-	})
-	register(Experiment{
-		ID:    "fig8",
-		Title: "TensorFlow training proxy on Machine A: write amplification",
-		Paper: "Fig 8: cleaning lowers amplification from ~3.7x to ~2.7x (only one function patched)",
-		Run:   runFig8,
-	})
 	register(Experiment{
 		ID:    "fig9",
 		Title: "NAS kernels on Machine A: normalized runtime with clean pre-stores",
@@ -37,51 +25,6 @@ func init() {
 	})
 }
 
-func fig7Batches(quick bool) []int {
-	if quick {
-		return []int{1, 32}
-	}
-	return []int{1, 8, 32, 64, 128, 250}
-}
-
-func trainCfg(batch int, mode tensor.Mode, quick bool) tensor.TrainConfig {
-	feat := 2048
-	steps := 2
-	if quick {
-		feat = 1024
-		steps = 1
-	}
-	return tensor.TrainConfig{BatchSize: batch, Features: feat, Steps: steps, Mode: mode}
-}
-
-func runFig7(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "batch", "base Mcyc", "clean gain", "skip gain")
-	for _, batch := range fig7Batches(quick) {
-		if cancelled(ctx) {
-			return
-		}
-		base := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Baseline, quick))
-		clean := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Clean, quick))
-		skip := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Skip, quick))
-		row(w, fmt.Sprint(batch),
-			fmt.Sprintf("%.1f", float64(base.Elapsed)/1e6),
-			pct(float64(base.Elapsed)/float64(clean.Elapsed)),
-			pct(float64(base.Elapsed)/float64(skip.Elapsed)))
-	}
-}
-
-func runFig8(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "batch", "base amp", "clean amp")
-	for _, batch := range fig7Batches(quick) {
-		if cancelled(ctx) {
-			return
-		}
-		base := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Baseline, quick))
-		clean := tensor.Train(sim.MachineA().AttachOps(ctx), trainCfg(batch, tensor.Clean, quick))
-		row(w, fmt.Sprint(batch), f2(base.WriteAmp), f2(clean.WriteAmp))
-	}
-}
-
 func nasKernels(quick bool) []nas.Kernel {
 	if quick {
 		return []nas.Kernel{nas.MG, nas.BT}
@@ -90,7 +33,7 @@ func nasKernels(quick bool) []nas.Kernel {
 }
 
 func runFig9(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "kernel", "base amp", "clean amp", "norm runtime", "cksum ok")
+	scenario.WriteRow(w, "kernel", "base amp", "clean amp", "norm runtime", "cksum ok")
 	for _, k := range nasKernels(quick) {
 		if cancelled(ctx) {
 			return
@@ -103,8 +46,10 @@ func runFig9(ctx context.Context, w io.Writer, quick bool) {
 		base := nas.Run(sim.MachineA().AttachOps(ctx), cfg)
 		cfg.Mode = nas.Clean
 		clean := nas.Run(sim.MachineA().AttachOps(ctx), cfg)
-		row(w, string(k), f2(base.WriteAmp), f2(clean.WriteAmp),
-			f2(float64(clean.Elapsed)/float64(base.Elapsed)),
+		scenario.WriteRow(w, string(k),
+			scenario.FormatCell("f2", base.WriteAmp),
+			scenario.FormatCell("f2", clean.WriteAmp),
+			scenario.FormatCell("f2", float64(clean.Elapsed)/float64(base.Elapsed)),
 			fmt.Sprint(base.Checksum == clean.Checksum))
 	}
 }
@@ -132,7 +77,7 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 	// mechanism applies (no write amplification on the FPGA, NAS uses
 	// no fences): overhead should be negligible.
 	fmt.Fprintln(w, "-- recommended pre-stores on the wrong machine (B-fast): overhead --")
-	header(w, "kernel", "base Mcyc", "clean Mcyc", "overhead")
+	scenario.WriteRow(w, "kernel", "base Mcyc", "clean Mcyc", "overhead")
 	for _, k := range []nas.Kernel{nas.MG, nas.SP} {
 		if cancelled(ctx) {
 			return
@@ -145,10 +90,10 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 		base := nas.Run(sim.MachineBFast().AttachOps(ctx), cfg)
 		cfg.Mode = nas.Clean
 		clean := nas.Run(sim.MachineBFast().AttachOps(ctx), cfg)
-		row(w, string(k),
-			fmt.Sprintf("%.1f", float64(base.Elapsed)/1e6),
-			fmt.Sprintf("%.1f", float64(clean.Elapsed)/1e6),
-			pct(float64(clean.Elapsed)/float64(base.Elapsed)))
+		scenario.WriteRow(w, string(k),
+			scenario.FormatCell("mcyc", float64(base.Elapsed)),
+			scenario.FormatCell("mcyc", float64(clean.Elapsed)),
+			scenario.FormatCell("pct", float64(clean.Elapsed)/float64(base.Elapsed)))
 	}
 
 	// 2. FT's fftz2: manually cleaning the hot in-cache scratch that
@@ -165,10 +110,10 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 	ftBase := nas.Run(sim.MachineA().AttachOps(ctx), ftCfg)
 	ftCfg.Mode = nas.CleanHot
 	ftHot := nas.Run(sim.MachineA().AttachOps(ctx), ftCfg)
-	header(w, "variant", "Mcyc", "slowdown")
-	row(w, "baseline", fmt.Sprintf("%.1f", float64(ftBase.Elapsed)/1e6), "1.0x")
-	row(w, "clean fftz2", fmt.Sprintf("%.1f", float64(ftHot.Elapsed)/1e6),
-		fmt.Sprintf("%.2fx", float64(ftHot.Elapsed)/float64(ftBase.Elapsed)))
+	scenario.WriteRow(w, "variant", "Mcyc", "slowdown")
+	scenario.WriteRow(w, "baseline", scenario.FormatCell("mcyc", float64(ftBase.Elapsed)), "1.0x")
+	scenario.WriteRow(w, "clean fftz2", scenario.FormatCell("mcyc", float64(ftHot.Elapsed)),
+		scenario.FormatCell("x2", float64(ftHot.Elapsed)/float64(ftBase.Elapsed)))
 
 	// 3. IS rank: small random writes, neither re-read nor sequential;
 	// a clean is useless but also (nearly) free.
@@ -184,8 +129,8 @@ func runOverhead(ctx context.Context, w io.Writer, quick bool) {
 	isBase := nas.Run(sim.MachineA().AttachOps(ctx), isCfg)
 	isCfg.Mode = nas.Clean
 	isClean := nas.Run(sim.MachineA().AttachOps(ctx), isCfg)
-	header(w, "variant", "Mcyc", "delta")
-	row(w, "baseline", fmt.Sprintf("%.1f", float64(isBase.Elapsed)/1e6), "")
-	row(w, "clean", fmt.Sprintf("%.1f", float64(isClean.Elapsed)/1e6),
-		pct(float64(isClean.Elapsed)/float64(isBase.Elapsed)))
+	scenario.WriteRow(w, "variant", "Mcyc", "delta")
+	scenario.WriteRow(w, "baseline", scenario.FormatCell("mcyc", float64(isBase.Elapsed)), "")
+	scenario.WriteRow(w, "clean", scenario.FormatCell("mcyc", float64(isClean.Elapsed)),
+		scenario.FormatCell("pct", float64(isClean.Elapsed)/float64(isBase.Elapsed)))
 }

@@ -7,10 +7,15 @@ package bench_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"testing"
 
 	"prestores/internal/bench"
 	"prestores/internal/checkpoint"
+	"prestores/internal/scenario"
+	"prestores/internal/sim"
 )
 
 // ckptIDs is a fast cross-section of the checkpoint-eligible
@@ -19,6 +24,10 @@ import (
 // from a single load (runKVThreads). The full set (fig10-fig14,
 // ycsb-mixes) runs in CI's checkpoint smoke.
 var ckptIDs = []string{"fig13", "kv-threads"}
+
+// ckptSHA256 pins the cold -quick output of ckptIDs, so the warm run is
+// compared against known-good bytes rather than only against itself.
+const ckptSHA256 = "53e51b90d56895248b1416367356a22a147610e20aacf345b9fc4d135d0e70de"
 
 // TestWarmForkByteIdentity is the acceptance bar for warm-state
 // forking: checkpointing is a pure wall-time optimization, so the warm
@@ -29,14 +38,7 @@ func TestWarmForkByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the KV experiment cross-section twice; skipped with -short")
 	}
-	exps := make([]bench.Experiment, 0, len(ckptIDs))
-	for _, id := range ckptIDs {
-		e, ok := bench.Lookup(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		exps = append(exps, e)
-	}
+	exps := lookupAll(t, ckptIDs)
 	run := func(ctx context.Context) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -53,6 +55,9 @@ func TestWarmForkByteIdentity(t *testing.T) {
 	}
 
 	cold := run(context.Background())
+	if sum := sha256.Sum256(cold); hex.EncodeToString(sum[:]) != ckptSHA256 {
+		t.Errorf("cold output hash = %x; want %s\n%s", sum, ckptSHA256, cold)
+	}
 
 	store, err := checkpoint.NewStore(0, "")
 	if err != nil {
@@ -116,5 +121,41 @@ func TestParallelSimOpsExact(t *testing.T) {
 		if got := res[i].SimOps; got != want[res[i].ID] {
 			t.Errorf("%s: SimOps under Parallel:2 = %d; want %d (solo run)", res[i].ID, got, want[res[i].ID])
 		}
+	}
+}
+
+// TestSpecSimOpsExact pins that a spec run's SimOps counts every op its
+// machines retired, the tail after each run's last drain included: the
+// total must equal the per-core instruction counts of every machine the
+// run built, as seen through scenario.WithObserver.
+func TestSpecSimOpsExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments; skipped with -short")
+	}
+	for _, e := range lookupAll(t, []string{"x9", "fig5", "ablate-dir"}) {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			var machines []*sim.Machine
+			ctx := scenario.WithObserver(context.Background(), func(m *sim.Machine) {
+				machines = append(machines, m)
+			})
+			res, err := bench.Run(ctx, io.Discard, []bench.Experiment{e}, bench.RunnerConfig{Parallel: 1, Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0].Failed() {
+				t.Fatalf("failed: %s", res[0].Err)
+			}
+			var want uint64
+			for _, m := range machines {
+				for i := 0; i < m.Cores(); i++ {
+					want += m.Core(i).Instructions()
+				}
+			}
+			if want == 0 || res[0].SimOps != want {
+				t.Errorf("SimOps = %d; want %d retired by its %d machines", res[0].SimOps, want, len(machines))
+			}
+		})
 	}
 }

@@ -10,8 +10,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,10 +43,21 @@ var goldenIDs = []string{
 // and update the constant in the same commit that explains the change.
 const goldenSHA256 = "001281f3bccc41f60a5ad26f76bf982231f2806b799de97970a160407ddb3424"
 
-func goldenExperiments(t *testing.T) []bench.Experiment {
+// movedIDs are experiments that became declarative specs after
+// goldenSHA256 was taken (the ablations that gained machine-config and
+// device-parameter axes, the tensor figure and the prefetch extension);
+// movedSHA256 pins their concatenated -quick output the same way, as
+// produced by their earlier hand-written loops:
+//
+//	go run ./cmd/prestore-bench -quick -run fig8,ablate-llc,ablate-pmembuf,ext-prefetch | sha256sum
+var movedIDs = []string{"fig8", "ablate-llc", "ablate-pmembuf", "ext-prefetch"}
+
+const movedSHA256 = "2d1269c641a3cb5db3e258d622e3baf41c492b0eb35fe1dad9fd869d3f7efe9f"
+
+func lookupAll(t *testing.T, ids []string) []bench.Experiment {
 	t.Helper()
-	exps := make([]bench.Experiment, 0, len(goldenIDs))
-	for _, id := range goldenIDs {
+	exps := make([]bench.Experiment, 0, len(ids))
+	for _, id := range ids {
 		e, ok := bench.Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
@@ -58,32 +71,45 @@ func goldenExperiments(t *testing.T) []bench.Experiment {
 // the regression oracle that lets hot-path rewrites proceed safely:
 // any accidental change to timing, accounting, or formatting shows up
 // as a hash mismatch here before it silently corrupts paper figures.
+// Both pinned sets run in one sweep, longest (fig8) first, so the
+// workers stay busy.
 func TestGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden cross-section takes a few seconds; skipped with -short")
 	}
-	exps := goldenExperiments(t)
-	var buf bytes.Buffer
-	results, err := bench.Run(context.Background(), &buf, exps, bench.RunnerConfig{Parallel: 4, Quick: true})
+	exps := lookupAll(t, append(append([]string(nil), movedIDs...), goldenIDs...))
+	results, err := bench.Run(context.Background(), io.Discard, exps, bench.RunnerConfig{Parallel: 4, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var totalOps uint64
+	outputs := map[string]string{}
 	for i := range results {
 		if results[i].Failed() {
 			t.Fatalf("%s failed: %s", results[i].ID, results[i].Err)
 		}
 		totalOps += results[i].SimOps
+		outputs[results[i].ID] = results[i].Output
 	}
 	// Per-experiment SimOps is exact under any -parallel setting (each
 	// run counts through its own context-attached counter).
 	if totalOps == 0 {
 		t.Error("sweep retired zero simulated ops")
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); got != goldenSHA256 {
-		t.Errorf("golden output hash = %s; want %s\n"+
-			"If the model changed intentionally, update goldenSHA256 (see comment).", got, goldenSHA256)
+	for _, pin := range []struct {
+		ids  []string
+		want string
+	}{{goldenIDs, goldenSHA256}, {movedIDs, movedSHA256}} {
+		var out strings.Builder
+		for _, id := range pin.ids {
+			out.WriteString(outputs[id])
+		}
+		sum := sha256.Sum256([]byte(out.String()))
+		if got := hex.EncodeToString(sum[:]); got != pin.want {
+			t.Errorf("output hash of %v = %s; want %s\n"+
+				"If the model changed intentionally, update the constant (see its comment).\n%s",
+				pin.ids, got, pin.want, out.String())
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/units"
 	"prestores/internal/workloads/micro"
@@ -23,12 +24,10 @@ func init() {
 		Paper: "Section 5: ~75x slowdown (ratio of memory vs cache write latency)",
 		Run:   runListing3,
 	})
-	// fig3, skipvsclean and fig5 are registered as declarative scenario
-	// specs in spec.go.
 }
 
 func runTable1(ctx context.Context, w io.Writer, _ bool) {
-	header(w, "device", "granularity", "read lat", "machine")
+	scenario.WriteRow(w, "device", "granularity", "read lat", "machine")
 	type dev struct{ machine, window string }
 	rows := []dev{
 		{"machine-A", sim.WindowDRAM},
@@ -47,20 +46,11 @@ func runTable1(ctx context.Context, w io.Writer, _ bool) {
 			return
 		}
 		d := machines[r.machine].Device(r.window)
-		row(w, d.Name(), units.Bytes(d.InternalGranularity()),
+		scenario.WriteRow(w, d.Name(), units.Bytes(d.InternalGranularity()),
 			fmt.Sprintf("%d cyc", d.ReadLatency()), r.machine)
 	}
 	fmt.Fprintf(w, "CPU line sizes: machine-A %dB (x86), machine-B %dB (ThunderX ARM)\n",
 		machines["machine-A"].LineSize(), machines["machine-B"].LineSize())
-}
-
-// fig3Volume is the data written per configuration (footprint rules in
-// DESIGN.md §6: several times the LLC so evictions reach steady state).
-func fig3Volume(quick bool) uint64 {
-	if quick {
-		return 12 * units.MiB
-	}
-	return 48 * units.MiB
 }
 
 func runListing3(ctx context.Context, w io.Writer, quick bool) {
@@ -73,8 +63,8 @@ func runListing3(ctx context.Context, w io.Writer, quick bool) {
 		return
 	}
 	clean := micro.RunListing3(sim.MachineA().AttachOps(ctx), micro.Listing3Config{Iters: iters, Mode: micro.CleanPrestore})
-	header(w, "variant", "cyc/rewrite", "slowdown")
-	row(w, "baseline", fmt.Sprintf("%.1f", base.CyclesPerRew), "1.0x")
-	row(w, "clean", fmt.Sprintf("%.1f", clean.CyclesPerRew),
+	scenario.WriteRow(w, "variant", "cyc/rewrite", "slowdown")
+	scenario.WriteRow(w, "baseline", scenario.FormatCell("f1", base.CyclesPerRew), "1.0x")
+	scenario.WriteRow(w, "clean", scenario.FormatCell("f1", clean.CyclesPerRew),
 		fmt.Sprintf("%.0fx", clean.CyclesPerRew/base.CyclesPerRew))
 }

@@ -7,6 +7,7 @@ import (
 
 	"prestores/internal/core"
 	"prestores/internal/dirtbuster"
+	"prestores/internal/scenario"
 	"prestores/internal/sim"
 	"prestores/internal/units"
 	"prestores/internal/workloads/clht"
@@ -62,8 +63,10 @@ func Table2Workloads(quick bool) []dirtbuster.Workload {
 		Name:       "tensorflow",
 		NewMachine: sim.MachineA,
 		Run: func(m *sim.Machine) {
-			cfg := trainCfg(8, tensor.Baseline, quick)
-			cfg.Steps = 1
+			cfg := tensor.TrainConfig{BatchSize: 8, Features: 2048, Steps: 1, Mode: tensor.Baseline}
+			if quick {
+				cfg.Features = 1024
+			}
 			tensor.Train(m, cfg)
 		},
 	})
@@ -118,7 +121,7 @@ func Table2Workloads(quick bool) []dirtbuster.Workload {
 }
 
 func runTable2(ctx context.Context, w io.Writer, quick bool) {
-	header(w, "application", "write-int", "sequential", "before-fence", "choice")
+	scenario.WriteRow(w, "application", "write-int", "sequential", "before-fence", "choice")
 	for _, wl := range Table2Workloads(quick) {
 		if cancelled(ctx) {
 			return
@@ -151,7 +154,7 @@ func runTable2(ctx context.Context, w io.Writer, quick bool) {
 		if rep.WriteIntensive {
 			wi = "yes"
 		}
-		row(w, wl.Name, wi, orDash(seq), orDash(fence), choice.String())
+		scenario.WriteRow(w, wl.Name, wi, orDash(seq), orDash(fence), choice.String())
 	}
 	fmt.Fprintln(w, "(choice = recommendation for the top write-intensive function)")
 }

@@ -3,8 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-
-	"prestores/internal/checkpoint"
 )
 
 // CheckSinglePoint reports whether the spec evaluates exactly one grid
@@ -36,33 +34,8 @@ func (s *Spec) EvalPoint(ctx context.Context, quick bool) (Metrics, error) {
 	if !ok {
 		return nil, fmt.Errorf("workload.name: unknown workload %q (one of %v)", s.Workload.Name, WorkloadNames())
 	}
-	base := s.baseParams(quick)
-	m, err := s.buildMachine(s.Machine.Preset)
-	if err != nil {
-		return nil, err
-	}
-	m.AttachOps(ctx)
-	if obs := observerFrom(ctx); obs != nil {
-		obs(m)
-	}
-	op := s.Policy.Ops[0]
-	if view := checkpoint.FromContext(ctx); view != nil && wl.RunPhased != nil && !s.Run.ColdStart {
-		prefixKey, err := s.WarmPrefixKey(checkpoint.Build(), 0)
-		if err != nil {
-			return nil, err
-		}
-		key := warmRunKey(prefixKey, m.ConfigHash(), wl.WarmParams, base)
-		metrics, err := wl.RunPhased(m, op, base, phaseControl(view, key))
-		if err != nil {
-			return nil, fmt.Errorf("workload %s, op %s: %w", wl.Name, op, err)
-		}
-		return metrics, nil
-	}
-	metrics, err := wl.Run(m, op, base)
-	if err != nil {
-		return nil, fmt.Errorf("workload %s, op %s: %w", wl.Name, op, err)
-	}
-	return metrics, nil
+	mc := machineChoice{preset: s.Machine.Preset, devices: s.Machine.Devices}
+	return s.runPoint(ctx, wl, mc, s.Policy.Ops[0], s.baseParams(quick))
 }
 
 // WithPlan returns a copy of the spec carrying a different pre-store

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"prestores/internal/checkpoint"
-	"prestores/internal/memdev"
 	"prestores/internal/sim"
 	"prestores/internal/units"
 )
@@ -32,17 +32,12 @@ func observerFrom(ctx context.Context) func(*sim.Machine) {
 // Exec runs a validated spec, writing its table to w. quick mode
 // applies the axes' Quick value lists and the run.quick parameter
 // overrides. The sweep checks ctx before each row and returns silently
-// when cancelled, matching the hand-written experiments' contract with
-// the bench harness.
+// when cancelled, the bench harness's contract with every experiment.
 func (s *Spec) Exec(ctx context.Context, w io.Writer, quick bool) error {
 	wl, ok := Get(s.Workload.Name)
 	if !ok {
 		return fmt.Errorf("workload.name: unknown workload %q (one of %v)", s.Workload.Name, WorkloadNames())
 	}
-
-	base := s.baseParams(quick)
-
-	// Effective axis values.
 	axes := make([]Axis, len(s.Policy.Axes))
 	copy(axes, s.Policy.Axes)
 	for i := range axes {
@@ -55,43 +50,25 @@ func (s *Spec) Exec(ctx context.Context, w io.Writer, quick bool) error {
 	for i, c := range s.Policy.Columns {
 		titles[i] = c.Title
 	}
-	header(w, titles...)
+	WriteRow(w, titles...)
 
-	// Warm-state forking: with a checkpoint view on the context and a
-	// workload that declares a phase boundary, every grid point runs
-	// through the phased path keyed by the spec's warm-prefix key.
-	// run.cold_start opts the whole spec out.
-	var prefixKey string
-	if view := checkpoint.FromContext(ctx); view != nil && wl.RunPhased != nil && !s.Run.ColdStart {
-		k, err := s.WarmPrefixKey(checkpoint.Build(), 0)
-		if err != nil {
-			return err
-		}
-		prefixKey = k
-	}
-
-	// Odometer over the axes; the first axis varies slowest.
-	obs := observerFrom(ctx)
-	idx := make([]int, len(axes))
-	for {
+	for _, r := range s.grid(axes, s.baseParams(quick)) {
 		if ctx.Err() != nil {
 			return nil
 		}
-		if err := s.runRow(ctx, w, wl, axes, idx, base, obs, prefixKey); err != nil {
-			return err
-		}
-		// Advance.
-		i := len(axes) - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(axes[i].Values) {
-				break
+		results := make(map[string]Metrics, len(r.ops))
+		for _, op := range r.ops {
+			m, err := s.runPoint(ctx, wl, r.machine, op, r.params)
+			if err != nil {
+				return err
 			}
-			idx[i] = 0
+			results[op] = m
 		}
-		if i < 0 {
-			break
+		cells := make([]string, len(s.Policy.Columns))
+		for ci, c := range s.Policy.Columns {
+			cells[ci] = renderCell(c, axes, r, results)
 		}
+		WriteRow(w, cells...)
 	}
 	for _, line := range s.Policy.Footer {
 		fmt.Fprintln(w, line)
@@ -125,73 +102,111 @@ func (s *Spec) baseParams(quick bool) Params {
 	return base
 }
 
-// runRow executes one grid point (all its ops) and renders the row.
-// With a non-empty prefixKey each op's run goes through the workload's
-// phased path, forking from (or seeding) the context's checkpoint view.
-func (s *Spec) runRow(ctx context.Context, w io.Writer, wl Workload, axes []Axis, idx []int, base Params, obs func(*sim.Machine), prefixKey string) error {
-	params := base.clone()
-	machinePreset := s.Machine.Preset
-	ops := s.Policy.Ops
-	for ai, a := range axes {
-		v := a.Values[idx[ai]]
-		switch a.Param {
-		case "machine":
-			machinePreset = v.(string)
-		case "op":
-			ops = []string{v.(string)}
-		default:
-			params[a.Param] = v
-		}
-	}
-
-	results := make(map[string]Metrics, len(ops))
-	for _, op := range ops {
-		m, err := s.buildMachine(machinePreset)
-		if err != nil {
-			return err
-		}
-		m.AttachOps(ctx)
-		if obs != nil {
-			obs(m)
-		}
-		var metrics Metrics
-		if prefixKey != "" {
-			key := warmRunKey(prefixKey, m.ConfigHash(), wl.WarmParams, params)
-			pc := phaseControl(checkpoint.FromContext(ctx), key)
-			metrics, err = wl.RunPhased(m, op, params, pc)
-		} else {
-			metrics, err = wl.Run(m, op, params)
-		}
-		if err != nil {
-			return fmt.Errorf("workload %s, op %s: %w", wl.Name, op, err)
-		}
-		results[op] = metrics
-	}
-
-	cells := make([]string, len(s.Policy.Columns))
-	for ci, c := range s.Policy.Columns {
-		cells[ci] = s.renderCell(c, axes, idx, ops, results)
-	}
-	row(w, cells...)
-	return nil
+// gridRow is one resolved row of the sweep: the value index of each
+// axis (for rendering), the ops the row runs, and the machine and
+// workload parameters every one of those runs uses.
+type gridRow struct {
+	idx     []int
+	ops     []string
+	machine machineChoice
+	params  Params
 }
 
-func (s *Spec) renderCell(c Column, axes []Axis, idx []int, ops []string, results map[string]Metrics) string {
+// grid resolves every row of the sweep in order; the first axis varies
+// slowest.
+func (s *Spec) grid(axes []Axis, base Params) []gridRow {
+	var rows []gridRow
+	idx := make([]int, len(axes))
+	for {
+		r := gridRow{
+			idx:     append([]int(nil), idx...),
+			ops:     s.Policy.Ops,
+			machine: machineChoice{preset: s.Machine.Preset, devices: s.Machine.Devices},
+			params:  base.clone(),
+		}
+		for ai, a := range axes {
+			v := a.Values[idx[ai]]
+			switch {
+			case a.Param == "machine":
+				r.machine.preset = v.(string)
+			case a.Param == "op":
+				r.ops = []string{v.(string)}
+			case strings.HasPrefix(a.Param, configAxis):
+				if r.machine.fields == nil {
+					r.machine.fields = map[string]any{}
+				}
+				r.machine.fields[strings.TrimPrefix(a.Param, configAxis)] = v
+			case strings.HasPrefix(a.Param, devicesAxis):
+				win, key, _ := strings.Cut(strings.TrimPrefix(a.Param, devicesAxis), ".")
+				r.machine.devices = withDeviceParam(r.machine.devices, win, key, v)
+			default:
+				r.params[a.Param] = v
+			}
+		}
+		rows = append(rows, r)
+
+		i := len(axes) - 1
+		for ; i >= 0; i-- {
+			idx[i]++
+			if idx[i] < len(axes[i].Values) {
+				break
+			}
+			idx[i] = 0
+		}
+		if i < 0 {
+			return rows
+		}
+	}
+}
+
+// runPoint runs one grid point: it builds the point's machine, attaches
+// the run's ops counter and observer, runs the workload — through its
+// phased path, forking the warmup from the context's checkpoint view,
+// when it declares one — and publishes the machine's retired ops once
+// the run is over. It is the only place a spec run attaches its ops
+// counter.
+func (s *Spec) runPoint(ctx context.Context, wl Workload, mc machineChoice, op string, p Params) (Metrics, error) {
+	m, err := s.buildMachine(mc)
+	if err != nil {
+		return nil, err
+	}
+	m.AttachOps(ctx)
+	defer m.FlushOps()
+	if obs := observerFrom(ctx); obs != nil {
+		obs(m)
+	}
+	var metrics Metrics
+	if view := checkpoint.FromContext(ctx); view != nil && wl.RunPhased != nil && !s.Run.ColdStart {
+		key := warmKey(checkpoint.Build(), wl, m.ConfigHash(), p)
+		metrics, err = wl.RunPhased(m, op, p, phaseControl(ctx, view, key))
+	} else {
+		metrics, err = wl.Run(m, op, p)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("workload %s, op %s: %w", wl.Name, op, err)
+	}
+	return metrics, nil
+}
+
+func renderCell(c Column, axes []Axis, r gridRow, results map[string]Metrics) string {
 	if c.Axis != "" {
 		for ai, a := range axes {
 			if a.Param != c.Axis {
 				continue
 			}
-			if len(a.Labels) > 0 {
-				return a.Labels[idx[ai]]
+			switch {
+			case len(c.Labels) > 0:
+				return c.Labels[r.idx[ai]]
+			case len(a.Labels) > 0:
+				return a.Labels[r.idx[ai]]
 			}
-			return formatCell(c.Format, a.Values[idx[ai]])
+			return FormatCell(c.Format, a.Values[r.idx[ai]])
 		}
 		return "?"
 	}
 	op := c.Op
-	if op == "" && len(ops) == 1 {
-		op = ops[0] // "op" axis: the row's single run
+	if op == "" && len(r.ops) == 1 {
+		op = r.ops[0] // "op" axis: the row's single run
 	}
 	num := results[op][c.Metric]
 	if c.DenOp != "" {
@@ -199,100 +214,12 @@ func (s *Spec) renderCell(c Column, axes []Axis, idx []int, ops []string, result
 		if den == "" {
 			den = c.Metric
 		}
-		return formatCell(c.Format, num/results[c.DenOp][den])
+		return FormatCell(c.Format, num/results[c.DenOp][den])
 	}
-	return formatCell(c.Format, num)
+	return FormatCell(c.Format, num)
 }
 
-// phaseControl wires a checkpoint view into a sim.PhaseControl for one
-// grid point: restore forks the machine from the memoized post-warmup
-// state under key; save encodes and stores it. Stale entries (build or
-// config skew) count as misses; a restore that fails after the header
-// matched panics rather than silently re-running the warmup on a
-// half-mutated machine.
-func phaseControl(view *checkpoint.View, key string) *sim.PhaseControl {
-	return &sim.PhaseControl{
-		Restore: func(m *sim.Machine) ([]byte, bool) {
-			data, ok := view.Get(key)
-			if !ok {
-				return nil, false
-			}
-			ck, err := sim.DecodeCheckpoint(data)
-			if err != nil || ck.Build != checkpoint.Build() || ck.ConfigHash != m.ConfigHash() {
-				return nil, false
-			}
-			if err := ck.Restore(m); err != nil {
-				panic(fmt.Sprintf("checkpoint %s: restore failed: %v", key[:12], err))
-			}
-			return ck.Annex, true
-		},
-		Save: func(m *sim.Machine, annex []byte) {
-			ck, err := m.NewCheckpoint(checkpoint.Build(), annex)
-			if err != nil {
-				return // machine not snapshottable: later points load cold
-			}
-			view.Put(key, ck.Encode())
-		},
-	}
-}
-
-// buildMachine constructs a fresh machine for one run: preset or
-// custom config, with device patches applied. Devices are rebuilt each
-// time so runs never share device state.
-func (s *Spec) buildMachine(preset string) (*sim.Machine, error) {
-	var cfg sim.Config
-	if preset != "" {
-		c, ok := sim.PresetConfig(preset)
-		if !ok {
-			return nil, fmt.Errorf("machine.preset: unknown preset %q (one of %v)", preset, presetNames())
-		}
-		cfg = c
-	} else if s.Machine.Config != nil {
-		cfg = *s.Machine.Config
-		// The spec's config holds live device instances; clone them so
-		// repeated runs start from pristine device state.
-		windows := make([]sim.WindowSpec, len(cfg.Windows))
-		copy(windows, cfg.Windows)
-		for i, ws := range windows {
-			spec, ok := memdev.Describe(ws.Device)
-			if !ok {
-				return nil, fmt.Errorf("machine.config.windows[%d].device: not a registered device kind", i)
-			}
-			dev, err := spec.Build()
-			if err != nil {
-				return nil, fmt.Errorf("machine.config.windows[%d].device.%v", i, err)
-			}
-			windows[i].Device = dev
-		}
-		cfg.Windows = windows
-	} else {
-		return nil, fmt.Errorf("machine: no machine resolved for this row")
-	}
-	for i, ws := range cfg.Windows {
-		patch, ok := s.Machine.Devices[ws.Name]
-		if !ok {
-			continue
-		}
-		spec, ok := memdev.Describe(ws.Device)
-		if !ok {
-			return nil, fmt.Errorf("machine.devices.%s: window device is not patchable", ws.Name)
-		}
-		patched, err := spec.Apply(patch)
-		if err != nil {
-			return nil, fmt.Errorf("machine.devices.%s.%v", ws.Name, err)
-		}
-		dev, err := patched.Build()
-		if err != nil {
-			return nil, fmt.Errorf("machine.devices.%s.%v", ws.Name, err)
-		}
-		cfg.Windows[i].Device = dev
-	}
-	return sim.NewMachine(cfg), nil
-}
-
-// formatCell renders one value. The formats replicate the hand-written
-// experiments' fmt verbs exactly, so spec-ified experiments stay
-// byte-identical to their legacy rendering:
+// FormatCell renders one table value in a named column format:
 //
 //	plain  fmt.Sprint(v)
 //	bytes  units.Bytes (value must be a non-negative integer)
@@ -302,7 +229,8 @@ func (s *Spec) buildMachine(preset string) (*sim.Machine, error) {
 //	cyc0   %.0f cyc
 //	drop0  -%.0f%% of 100*(1-ratio)
 //	mops   %.2fM/s of v/1e6
-func formatCell(format string, v any) string {
+//	mcyc   %.1f of v/1e6 (cycles in millions)
+func FormatCell(format string, v any) string {
 	f, isNum := asFloat(v)
 	switch format {
 	case "", "plain":
@@ -328,23 +256,16 @@ func formatCell(format string, v any) string {
 		return fmt.Sprintf("-%.0f%%", 100*(1-f))
 	case "mops":
 		return fmt.Sprintf("%.2fM/s", f/1e6)
+	case "mcyc":
+		return fmt.Sprintf("%.1f", f/1e6)
 	}
 	return fmt.Sprint(v)
 }
 
-// header and row replicate internal/bench's fixed-width table layout
-// ("%12s" cells, two-space separators) byte for byte.
-func header(w io.Writer, cols ...string) {
-	for i, c := range cols {
-		if i > 0 {
-			fmt.Fprint(w, "  ")
-		}
-		fmt.Fprintf(w, "%12s", c)
-	}
-	fmt.Fprintln(w)
-}
-
-func row(w io.Writer, cells ...string) {
+// WriteRow prints one fixed-width table line ("%12s" cells, two-space
+// separators): the header and every data row of every experiment
+// table use this layout.
+func WriteRow(w io.Writer, cells ...string) {
 	for i, c := range cells {
 		if i > 0 {
 			fmt.Fprint(w, "  ")

@@ -3,10 +3,11 @@
 // parameterized), a registered workload with typed parameters, a
 // pre-store policy (ops, placement window, sweep axes, table columns),
 // and run controls (quick overrides, point budget, seed). The grid
-// runner executes the spec deterministically and renders the same
-// fixed-width tables internal/bench prints, so named experiments can
-// be re-expressed as specs without disturbing the golden output guard,
-// and the prestored daemon can serve arbitrary custom scenarios.
+// runner executes the spec deterministically and renders the
+// fixed-width tables every named experiment prints (WriteRow,
+// FormatCell), so named experiments are registered as specs without
+// disturbing the golden output guard, and the prestored daemon can
+// serve arbitrary custom scenarios.
 package scenario
 
 import (
@@ -16,8 +17,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
-	"prestores/internal/memdev"
 	"prestores/internal/sim"
 )
 
@@ -45,11 +46,18 @@ type WorkloadSpec struct {
 	Params map[string]any `json:"params,omitempty"`
 }
 
-// Axis is one sweep dimension: a workload parameter name, or the
-// special axes "machine" (values are preset names) and "op" (values
-// are pre-store op names; rows then run that single op). The first
-// axis varies slowest. Quick, when set, replaces Values in quick mode.
-// Labels, when set, replace the rendered value in axis columns.
+// Axis is one sweep dimension: a workload parameter name, or one of
+// the special axes
+//   - "machine": values are preset names;
+//   - "op": values are pre-store op names; rows then run that single op;
+//   - "config.<field>": sets one field of the row machine's config JSON
+//     (a dotted path such as "llc.policy" or "dir_on_device");
+//   - "devices.<window>.<param>": sets one device parameter of a window,
+//     on top of machine.devices.
+//
+// The first axis varies slowest. Quick, when set, replaces Values in
+// quick mode. Labels, when set, replace the rendered value in axis
+// columns.
 type Axis struct {
 	Param  string   `json:"param"`
 	Values []any    `json:"values"`
@@ -58,7 +66,8 @@ type Axis struct {
 }
 
 // Column defines one table column.
-//   - Axis != "":  render that axis's value (or label) for the row.
+//   - Axis != "":  render that axis's value for the row — or its label:
+//     the column's own Labels first, then the axis's.
 //   - DenOp != "": ratio of Op's Metric over DenOp's DenMetric
 //     (DenMetric defaults to Metric).
 //   - otherwise:   the value of Metric from Op's run.
@@ -66,13 +75,14 @@ type Axis struct {
 // With an "op" axis, Op and DenOp stay empty and Metric reads the
 // row's single run.
 type Column struct {
-	Title     string `json:"title"`
-	Axis      string `json:"axis,omitempty"`
-	Op        string `json:"op,omitempty"`
-	Metric    string `json:"metric,omitempty"`
-	DenOp     string `json:"den_op,omitempty"`
-	DenMetric string `json:"den_metric,omitempty"`
-	Format    string `json:"format,omitempty"`
+	Title     string   `json:"title"`
+	Axis      string   `json:"axis,omitempty"`
+	Labels    []string `json:"labels,omitempty"`
+	Op        string   `json:"op,omitempty"`
+	Metric    string   `json:"metric,omitempty"`
+	DenOp     string   `json:"den_op,omitempty"`
+	DenMetric string   `json:"den_metric,omitempty"`
+	Format    string   `json:"format,omitempty"`
 }
 
 // PolicySpec is the pre-store policy under test: which ops each row
@@ -175,8 +185,8 @@ func (s Spec) Key() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// formatNames lists the accepted column formats (see formatCell).
-var formatNames = []string{"bytes", "cyc0", "drop0", "f0", "f1", "f2", "mops", "pct", "plain", "x2"}
+// formatNames lists the accepted column formats (see FormatCell).
+var formatNames = []string{"bytes", "cyc0", "drop0", "f0", "f1", "f2", "mcyc", "mops", "pct", "plain", "x2"}
 
 func knownFormat(f string) bool {
 	for _, n := range formatNames {
@@ -332,13 +342,18 @@ func (s *Spec) Validate() error {
 		}
 		seenAxes[a.Param] = true
 		var def ParamDef
-		switch a.Param {
-		case "machine", "op":
+		switch {
+		case a.Param == "machine" || a.Param == "op":
 			def = ParamDef{Name: a.Param, Kind: KindString}
+		case strings.HasPrefix(a.Param, configAxis):
+		case strings.HasPrefix(a.Param, devicesAxis):
+			if win, key, ok := strings.Cut(strings.TrimPrefix(a.Param, devicesAxis), "."); !ok || win == "" || key == "" {
+				return fmt.Errorf("%s.param: device axis %q must be devices.<window>.<param>", path, a.Param)
+			}
 		default:
 			d, ok := w.paramDef(a.Param)
 			if !ok {
-				return fmt.Errorf("%s.param: unknown axis %q (machine, op, or one of workload params %v)",
+				return fmt.Errorf("%s.param: unknown axis %q (machine, op, config.<field>, devices.<window>.<param>, or one of workload params %v)",
 					path, a.Param, w.paramNames())
 			}
 			def = d
@@ -356,14 +371,8 @@ func (s *Spec) Validate() error {
 				return err
 			}
 		}
-		if len(a.Labels) > 0 {
-			if len(a.Labels) != len(a.Values) {
-				return fmt.Errorf("%s.labels: got %d labels for %d values", path, len(a.Labels), len(a.Values))
-			}
-			if len(a.Quick) > 0 && len(a.Quick) != len(a.Values) {
-				return fmt.Errorf("%s.labels: labels require quick and values to have equal length (got %d quick, %d values)",
-					path, len(a.Quick), len(a.Values))
-			}
+		if err := checkLabels(path+".labels", a.Labels, a); err != nil {
+			return err
 		}
 	}
 
@@ -421,10 +430,17 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("%s.format: unknown format %q (one of %v)", path, c.Format, formatNames)
 		}
 		if c.Axis != "" {
-			if !seenAxes[c.Axis] {
+			a, ok := s.axisFor(c.Axis)
+			if !ok {
 				return fmt.Errorf("%s.axis: no axis %q defined", path, c.Axis)
 			}
+			if err := checkLabels(path+".labels", c.Labels, a); err != nil {
+				return err
+			}
 			continue
+		}
+		if len(c.Labels) > 0 {
+			return fmt.Errorf("%s.labels: only axis columns take labels", path)
 		}
 		if c.Metric == "" {
 			return fmt.Errorf("%s.metric: required (workload %s reports %v)", path, w.Name, w.MetricNames)
@@ -495,7 +511,36 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// checkLabels checks the labels of an axis, or of a column rendering
+// that axis: one per value, and quick lists must line up with values.
+func checkLabels(path string, labels []string, a Axis) error {
+	if len(labels) == 0 {
+		return nil
+	}
+	if len(labels) != len(a.Values) {
+		return fmt.Errorf("%s: got %d labels for %d values", path, len(labels), len(a.Values))
+	}
+	if len(a.Quick) > 0 && len(a.Quick) != len(a.Values) {
+		return fmt.Errorf("%s: labels require quick and values to have equal length (got %d quick, %d values)",
+			path, len(a.Quick), len(a.Values))
+	}
+	return nil
+}
+
 func (s *Spec) checkAxisValue(path, param string, def ParamDef, v any, w Workload) error {
+	switch {
+	case strings.HasPrefix(param, configAxis):
+		field := strings.TrimPrefix(param, configAxis)
+		for _, base := range s.baseConfigs() {
+			if _, err := withConfigFields(base, map[string]any{field: v}); err != nil {
+				return fmt.Errorf("%s: machine config field %q: %v", path, field, err)
+			}
+		}
+		return nil
+	case strings.HasPrefix(param, devicesAxis):
+		win, key, _ := strings.Cut(strings.TrimPrefix(param, devicesAxis), ".")
+		return s.checkDevicePatch(path, win, withDeviceParam(s.Machine.Devices, win, key, v)[win])
+	}
 	switch param {
 	case "machine":
 		name, ok := v.(string)
@@ -515,59 +560,6 @@ func (s *Spec) checkAxisValue(path, param string, def ParamDef, v any, w Workloa
 		}
 	default:
 		return checkParamValue(path, def, v)
-	}
-	return nil
-}
-
-// validateDevicePatches checks machine.devices against the windows of
-// the machine(s) the spec can resolve.
-func (s *Spec) validateDevicePatches() error {
-	names := make([]string, 0, len(s.Machine.Devices))
-	for n := range s.Machine.Devices {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	// Collect the base configs every row could use.
-	var bases []sim.Config
-	switch {
-	case s.Machine.Config != nil:
-		bases = append(bases, *s.Machine.Config)
-	case s.Machine.Preset != "":
-		cfg, _ := sim.PresetConfig(s.Machine.Preset)
-		bases = append(bases, cfg)
-	default:
-		axis, _ := s.axisFor("machine")
-		for _, v := range axis.Values {
-			name, ok := v.(string)
-			if !ok {
-				continue // axis validation reports this
-			}
-			if cfg, ok := sim.PresetConfig(name); ok {
-				bases = append(bases, cfg)
-			}
-		}
-	}
-	for _, win := range names {
-		for _, base := range bases {
-			found := false
-			var windows []string
-			for _, ws := range base.Windows {
-				windows = append(windows, ws.Name)
-				if ws.Name == win {
-					found = true
-					spec, ok := memdev.Describe(ws.Device)
-					if !ok {
-						return fmt.Errorf("machine.devices.%s: window device is not patchable", win)
-					}
-					if _, err := spec.Apply(s.Machine.Devices[win]); err != nil {
-						return fmt.Errorf("machine.devices.%s.%v", win, err)
-					}
-				}
-			}
-			if !found {
-				return fmt.Errorf("machine.devices.%s: no such window (machine %s has %v)", win, base.Name, windows)
-			}
-		}
 	}
 	return nil
 }

@@ -3,10 +3,13 @@ package scenario_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"prestores/internal/memdev"
 	"prestores/internal/scenario"
+	"prestores/internal/sim"
 
 	_ "prestores/internal/workloads/micro" // registers listing1/2/3
 )
@@ -73,6 +76,30 @@ func TestValidateErrorFieldPaths(t *testing.T) {
 			s.Policy.Axes = append(s.Policy.Axes,
 				scenario.Axis{Param: "iters", Values: []any{1, 2}, Labels: []string{"one"}})
 		}, "policy.axes[0].labels: got 1 labels for 2 values"},
+		{"unknown config field", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "config.llc.warp", Values: []any{1.0}})
+		}, `policy.axes[0].values[0]: machine config field "llc.warp": json: unknown field "warp"`},
+		{"mistyped config field", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "config.dir_on_device", Values: []any{"yes"}})
+		}, `policy.axes[0].values[0]: machine config field "dir_on_device"`},
+		{"bad config value", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "config.drain", Values: []any{"lazy", "sloppy"}})
+		}, `policy.axes[0].values[1]: machine config field "drain": drain: unknown drain mode "sloppy"`},
+		{"short device axis", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "devices.pmem", Values: []any{1.0}})
+		}, `policy.axes[0].param: device axis "devices.pmem" must be devices.<window>.<param>`},
+		{"device axis window", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "devices.nvram.read_lat", Values: []any{1.0}})
+		}, `policy.axes[0].values[0]: no such window "nvram"`},
+		{"device axis param", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "devices.pmem.warp", Values: []any{1.0}})
+		}, "policy.axes[0].values[0].warp: unknown device parameter"},
+		{"column label mismatch", func(s *scenario.Spec) {
+			s.Policy.Axes = append(s.Policy.Axes, scenario.Axis{Param: "iters", Values: []any{1, 2}})
+			s.Policy.Columns[0] = scenario.Column{Title: "n", Axis: "iters", Labels: []string{"one"}}
+		}, "policy.columns[0].labels: got 1 labels for 2 values"},
+		{"labels on metric column", func(s *scenario.Spec) { s.Policy.Columns[0].Labels = []string{"x"} },
+			"policy.columns[0].labels: only axis columns take labels"},
 		{"empty telemetry", func(s *scenario.Spec) { s.Telemetry = &scenario.TelemetrySpec{} },
 			"telemetry: at least one of timeline or line_report must be true"},
 		{"negative telemetry ring", func(s *scenario.Spec) {
@@ -205,5 +232,31 @@ func TestDevicePatchChangesResults(t *testing.T) {
 	}
 	if fastOut.String() == slowOut.String() {
 		t.Fatalf("patching pmem write_lat did not change the table:\n%s", fastOut.String())
+	}
+}
+
+// TestMachineAxesBuildRowMachines sweeps a config field and a device
+// parameter and checks every run's machine carries its row's value.
+func TestMachineAxesBuildRowMachines(t *testing.T) {
+	s := smallSpec()
+	s.Policy.Axes = []scenario.Axis{
+		{Param: "config.llc.policy", Values: []any{"QLRU", "LRU"}},
+		{Param: "devices.pmem.write_lat", Values: []any{300.0, 5000.0}},
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	ctx := scenario.WithObserver(context.Background(), func(m *sim.Machine) {
+		spec, _ := memdev.Describe(m.Device(sim.WindowPMEM))
+		got = append(got, fmt.Sprintf("%v/%d", m.Config().LLC.Policy, spec.WriteLat))
+	})
+	var out bytes.Buffer
+	if err := s.Exec(ctx, &out, true); err != nil {
+		t.Fatal(err)
+	}
+	want := "[QLRU/300 QLRU/300 QLRU/5000 QLRU/5000 LRU/300 LRU/300 LRU/5000 LRU/5000]"
+	if fmt.Sprint(got) != want {
+		t.Errorf("machines per run = %v; want %s", got, want)
 	}
 }

@@ -1,92 +1,79 @@
 package scenario
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"prestores/internal/checkpoint"
+	"prestores/internal/obs"
+	"prestores/internal/sim"
 )
 
-// WarmPrefixKey returns the content-addressed identity of a spec's warm
-// prefix: the SHA-256 of the spec's canonical JSON with every
-// sweep-axis-varied field masked out, joined with the build version and
-// the phase index. Two grid points of the same sweep — and two sweeps
-// differing only in swept values or axis order — share the key; any
-// change to a non-swept field (workload parameters, machine, quick
-// overrides, even cosmetic fields) produces a different key, trading
-// spurious misses for guaranteed correctness.
-//
-// The key deliberately does not resolve swept parameter values: the
-// runner combines it at runtime with the machine's config hash and the
-// workload's warm-parameter values, which is what distinguishes grid
-// points whose swept values do change the warm phase (see warmRunKey).
-func (s Spec) WarmPrefixKey(build string, phase int) (string, error) {
-	masked := s
-
-	// Swept parameter names, sorted — the axis order and value lists are
-	// masked, only the set of swept names survives.
-	axisParams := make([]string, 0, len(s.Policy.Axes))
-	for _, a := range s.Policy.Axes {
-		axisParams = append(axisParams, a.Param)
-	}
-	sort.Strings(axisParams)
-
-	// Drop swept parameters from the workload params and quick
-	// overrides: an axis overrides both, so their base values are dead.
-	maskMap := func(in map[string]any) map[string]any {
-		if in == nil {
-			return nil
-		}
-		out := make(map[string]any, len(in))
-		for k, v := range in {
-			out[k] = v
-		}
-		for _, p := range axisParams {
-			delete(out, p)
-		}
-		return out
-	}
-	masked.Workload.Params = maskMap(s.Workload.Params)
-	masked.Run.Quick = maskMap(s.Run.Quick)
-	masked.Policy.Axes = nil
-	// The per-site op table is a measured-phase choice by the same
-	// contract that masks the "op" axis (below): warm loads are
-	// baseline-crafted. Masking it lets every candidate plan the
-	// autotuner tries fork from one shared warm checkpoint.
-	masked.Policy.Table = nil
-	// Columns, footer and ops shape the rendered table, not the
-	// simulation — but masking them would let two specs with different
-	// non-swept content collide if a future field ever feeds simulation.
-	// Keep them: a cosmetic change costing one cold load is the safe
-	// direction. The "op" axis is masked with the rest of the axes; ops
-	// never affect the warm phase (loads are baseline-crafted).
-
-	canon, err := json.Marshal(masked)
-	if err != nil {
-		return "", err
-	}
+// warmKey is the content-addressed identity of a workload's post-warmup
+// machine state: the build, the workload name, the machine's config
+// hash and the effective values of the workload's declared warm
+// parameters. Nothing about the spec that asked for the run enters the
+// key, so any two grid points — of one sweep, of two experiments, or of
+// a named experiment and its dumped spec — that agree on those inputs
+// fork from the same checkpoint. Values hash in their JSON form, so a
+// spec built in Go (ints) and its decoded dump (float64s) agree.
+func warmKey(build string, wl Workload, configHash string, p Params) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "scenario\x00%s\x00%d\x00", build, phase)
-	h.Write(canon)
-	for _, p := range axisParams {
-		fmt.Fprintf(h, "\x00axis:%s", p)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// warmRunKey narrows a spec's warm-prefix key to one grid point: the
-// machine's config hash plus the effective values of the workload's
-// declared warm parameters. Grid points differing only in measured-
-// phase parameters (op, threads, mix, ...) map to the same run key and
-// fork from the same checkpoint.
-func warmRunKey(prefixKey, configHash string, warmParams []string, p Params) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s", prefixKey, configHash)
-	names := append([]string(nil), warmParams...)
+	fmt.Fprintf(h, "warm\x00%s\x00%s\x00%s", build, wl.Name, configHash)
+	names := append([]string(nil), wl.WarmParams...)
 	sort.Strings(names)
 	for _, n := range names {
-		fmt.Fprintf(h, "\x00%s=%v", n, p[n])
+		v, _ := json.Marshal(p[n]) // scalars; validation rejects anything else
+		fmt.Fprintf(h, "\x00%s=%s", n, v)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// phaseControl wires a checkpoint view into a sim.PhaseControl for one
+// grid point: restore forks the machine from the memoized post-warmup
+// state under key; save encodes and stores it. Stale entries (build or
+// config skew) count as misses; a restore that fails after the header
+// matched panics rather than silently re-running the warmup on a
+// half-mutated machine.
+func phaseControl(ctx context.Context, view *checkpoint.View, key string) *sim.PhaseControl {
+	return &sim.PhaseControl{
+		Restore: func(m *sim.Machine) ([]byte, bool) {
+			// The lookup and restore are separate spans: a miss shows a
+			// lookup followed by the full cold warmup, a hit shows the
+			// restore replacing it — the timing difference checkpointing
+			// exists to create, visible per job.
+			lctx, lookup := obs.Start(ctx, "checkpoint.lookup", obs.KV("key", key[:12]))
+			data, ok := view.Get(key)
+			var ck *sim.Checkpoint
+			if ok {
+				var err error
+				ck, err = sim.DecodeCheckpoint(data)
+				ok = err == nil && ck.Build == checkpoint.Build() && ck.ConfigHash == m.ConfigHash()
+			}
+			lookup.SetAttr("hit", fmt.Sprint(ok))
+			lookup.End()
+			if !ok {
+				return nil, false
+			}
+			_, restore := obs.Start(lctx, "checkpoint.restore", obs.KV("key", key[:12]))
+			defer restore.End()
+			if err := ck.Restore(m); err != nil {
+				panic(fmt.Sprintf("checkpoint %s: restore failed: %v", key[:12], err))
+			}
+			return ck.Annex, true
+		},
+		Save: func(m *sim.Machine, annex []byte) {
+			_, save := obs.Start(ctx, "checkpoint.save", obs.KV("key", key[:12]))
+			defer save.End()
+			ck, err := m.NewCheckpoint(checkpoint.Build(), annex)
+			if err != nil {
+				return // machine not snapshottable: later points load cold
+			}
+			view.Put(key, ck.Encode())
+		},
+	}
 }

@@ -126,14 +126,15 @@ func TestClusterAnalysisSurvivesShardDeath(t *testing.T) {
 	// mid-connection and every later call is refused, exactly like a
 	// crashed worker whose port is still bound.
 	victim := shards[1]
-	inner := victim.kill.h
 	var chunkCalls atomic.Int64
-	victim.kill.h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/analyses/chunks" && chunkCalls.Add(1) == 3 {
-			victim.die()
-			panic(http.ErrAbortHandler)
-		}
-		inner.ServeHTTP(w, r)
+	victim.kill.wrap(func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/analyses/chunks" && chunkCalls.Add(1) == 3 {
+				victim.die()
+				panic(http.ErrAbortHandler)
+			}
+			inner.ServeHTTP(w, r)
+		})
 	})
 
 	want := dirtbuster.AnalyzeTrace("clusterwl", tb, line, dirtbuster.Config{}).Render() + "\n"

@@ -20,17 +20,31 @@ import (
 
 // killSwitch simulates a worker daemon dying without unbinding its
 // port: once flipped, every new request is aborted mid-connection.
-// Combined with CloseClientConnections it severs live streams too.
+// Combined with CloseClientConnections it severs live streams too. The
+// handler sits behind an atomic pointer so a test can wrap it while the
+// shard is already serving (the coordinator probes /healthz throughout).
 type killSwitch struct {
 	dead atomic.Bool
-	h    http.Handler
+	h    atomic.Pointer[http.Handler]
+}
+
+func newKillSwitch(h http.Handler) *killSwitch {
+	k := &killSwitch{}
+	k.h.Store(&h)
+	return k
+}
+
+// wrap replaces the handler with mw applied to the current one.
+func (k *killSwitch) wrap(mw func(inner http.Handler) http.Handler) {
+	h := mw(*k.h.Load())
+	k.h.Store(&h)
 }
 
 func (k *killSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if k.dead.Load() {
 		panic(http.ErrAbortHandler)
 	}
-	k.h.ServeHTTP(w, r)
+	(*k.h.Load()).ServeHTTP(w, r)
 }
 
 // shardFixture is one worker daemon under test.
@@ -71,7 +85,7 @@ func newCluster(t *testing.T, n int, exps ...bench.Experiment) (*Coordinator, *h
 			return e, true
 		}
 		f.srv = server.New(server.Config{Workers: 2, Lookup: lookup})
-		f.kill = &killSwitch{h: f.srv.Handler()}
+		f.kill = newKillSwitch(f.srv.Handler())
 		f.ts = httptest.NewServer(f.kill)
 		shards[i] = f
 		urls[i] = f.ts.URL

@@ -370,19 +370,16 @@ func (s *Server) submit(kind, key string, detached bool, parent obs.SpanContext,
 
 // finalize moves a job to its final state, caches successful results,
 // updates metrics, evicts old finished jobs, and releases streamers.
+// The final state is published last, so a client that sees the job
+// finished also sees it counted in /metrics.
 func (s *Server) finalize(j *job, res bench.Result) {
-	j.mu.Lock()
+	final := stateDone
 	switch {
 	case j.ctx.Err() != nil:
-		j.state = stateCancelled
+		final = stateCancelled
 	case res.Err != "":
-		j.state = stateFailed
-	default:
-		j.state = stateDone
+		final = stateFailed
 	}
-	final := j.state
-	j.result = &res
-	j.mu.Unlock()
 
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
@@ -435,6 +432,10 @@ func (s *Server) finalize(j *job, res bench.Result) {
 		s.log.InfoContext(logCtx, "job cancelled", attrs...)
 	}
 	s.m.finished.inc(j.kind, final.String())
+	j.mu.Lock()
+	j.state = final
+	j.result = &res
+	j.mu.Unlock()
 	j.cancel() // release the context's resources
 	j.out.close()
 	close(j.done)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -120,11 +121,14 @@ func (c Config) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// UnmarshalJSON decodes a Config, building each window's device from
-// its memdev.Spec. Errors name the offending field path.
+// UnmarshalJSON decodes a Config strictly (unknown fields are errors),
+// building each window's device from its memdev.Spec. Errors name the
+// offending field path.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var j configJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
 		return err
 	}
 	out := Config{

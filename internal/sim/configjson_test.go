@@ -98,6 +98,7 @@ func TestConfigUnmarshalErrors(t *testing.T) {
 		{`{"windows":[{"name":"dram","base":0,"size":1024,"device":{"kind":"flash"}}]}`,
 			`windows[0].device.kind: unknown device kind "flash" (one of [cxlssd dram pmem remote])`},
 		{`{"windows":[]}`, "windows: at least one window is required"},
+		{`{"llc":{"polcy":"LRU"},"windows":[]}`, `json: unknown field "polcy"`},
 	}
 	for _, tc := range cases {
 		var c Config

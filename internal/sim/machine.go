@@ -237,13 +237,15 @@ func (m *Machine) Drain() {
 	for _, c := range m.cores {
 		c.now = now
 	}
-	m.flushOps()
+	m.FlushOps()
 }
 
-// flushOps publishes the cores' retired-op counts into the process-wide
-// throughput counter. Called at natural synchronization points so the
-// per-op path stays atomic-free.
-func (m *Machine) flushOps() {
+// FlushOps publishes the cores' retired-op counts into the process-wide
+// throughput counter and the attached per-run counter. Drain and
+// ResetStats call it at natural synchronization points so the per-op
+// path stays atomic-free; a harness calls it once a run is over so the
+// ops retired after the last drain are counted too.
+func (m *Machine) FlushOps() {
 	var total uint64
 	for _, c := range m.cores {
 		total += c.instr
@@ -309,7 +311,7 @@ func (m *Machine) ResetStats() {
 	for _, w := range m.cfg.Windows {
 		w.Device.ResetStats()
 	}
-	m.flushOps()
+	m.FlushOps()
 }
 
 // MaxCycles returns the highest core clock — the elapsed simulated time
