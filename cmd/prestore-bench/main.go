@@ -304,7 +304,6 @@ func main() {
 	}
 
 	sweepStart := time.Now()
-	opsBefore := sim.RetiredOps()
 	var results []bench.Result
 	var runErr error
 	var spanCol *spanCollector
@@ -320,7 +319,6 @@ func main() {
 			Timeout:  *timeout,
 		})
 	}
-	sweepOps := sim.RetiredOps() - opsBefore
 	sweepWall := time.Since(sweepStart)
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "prestore-bench: sweep aborted: %v\n", runErr)
@@ -370,8 +368,10 @@ func main() {
 
 	failed := 0
 	var wall time.Duration
+	var sweepOps uint64
 	for i := range results {
 		wall += results[i].WallTime
+		sweepOps += results[i].SimOps
 		if results[i].Failed() {
 			failed++
 			fmt.Fprintf(os.Stderr, "prestore-bench: %s: %s\n", results[i].ID, results[i].Err)
@@ -383,11 +383,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "prestore-bench: checkpoints: %d hits, %d misses\n",
 			ckptView.Hits(), ckptView.Misses())
 	}
-	if *serverURL == "" {
-		if s := sweepWall.Seconds(); s > 0 && sweepOps > 0 {
-			fmt.Fprintf(os.Stderr, "prestore-bench: %d simulated ops in %s (%.2f Mops/s host throughput)\n",
-				sweepOps, sweepWall.Round(time.Millisecond), float64(sweepOps)/s/1e6)
-		}
+	if s := sweepWall.Seconds(); s > 0 && sweepOps > 0 {
+		fmt.Fprintf(os.Stderr, "prestore-bench: %d simulated ops in %s (%.2f Mops/s host throughput)\n",
+			sweepOps, sweepWall.Round(time.Millisecond), float64(sweepOps)/s/1e6)
 	}
 	if failed > 0 || runErr != nil {
 		os.Exit(1)

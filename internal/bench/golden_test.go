@@ -82,19 +82,19 @@ func TestGoldenOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var totalOps uint64
 	outputs := map[string]string{}
 	for i := range results {
 		if results[i].Failed() {
 			t.Fatalf("%s failed: %s", results[i].ID, results[i].Err)
 		}
-		totalOps += results[i].SimOps
 		outputs[results[i].ID] = results[i].Output
-	}
-	// Per-experiment SimOps is exact under any -parallel setting (each
-	// run counts through its own context-attached counter).
-	if totalOps == 0 {
-		t.Error("sweep retired zero simulated ops")
+		// Per-experiment SimOps is exact under any -parallel setting
+		// (each run counts through its own context-attached counter),
+		// and every experiment but table1 (a printed configuration
+		// table) simulates something.
+		if results[i].ID != "table1" && results[i].SimOps == 0 {
+			t.Errorf("%s retired zero simulated ops", results[i].ID)
+		}
 	}
 	for _, pin := range []struct {
 		ids  []string

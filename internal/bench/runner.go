@@ -95,7 +95,9 @@ func Run(ctx context.Context, w io.Writer, exps []Experiment, cfg RunnerConfig) 
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				results[idx] = runGuarded(runCtx, exps[idx], cfg.Quick, cfg.Timeout)
+				e := exps[idx]
+				results[idx], _ = RunGuarded(runCtx, nil, e.ID, e.Title, cfg.Timeout,
+					func(ctx context.Context, w io.Writer) error { return RunOne(ctx, w, e, cfg.Quick) })
 				completed <- idx
 			}
 		}()
@@ -148,40 +150,44 @@ func flushResult(w io.Writer, r *Result) error {
 	return nil
 }
 
-// runGuarded executes one experiment with panic recovery and an
-// optional wall-clock deadline, capturing its output. It runs the
-// experiment on the calling goroutine: cancellation is cooperative
-// (the experiment returns at its next sweep-iteration boundary), so
-// a timed-out run frees its worker instead of being abandoned to burn
-// CPU — and to pollute the process-wide SimOps counter — in the
-// background.
-func runGuarded(ctx context.Context, e Experiment, quick bool, timeout time.Duration) Result {
-	r, _ := RunOneGuarded(ctx, nil, e, RunnerConfig{Quick: quick, Timeout: timeout})
-	return r
-}
-
-// RunOneGuarded executes a single experiment with the runner's full
-// harness — panic containment, cooperative timeout/cancellation
-// labeling, SimOps accounting — while streaming output to sink as it
-// is produced (Run buffers output for deterministic sweep
-// interleaving; a single guarded run has nothing to interleave with).
-// sink may be nil. The returned Result always captures the complete
-// output; the returned error is the first write error sink reported,
-// if any. cfg.Parallel is ignored.
-func RunOneGuarded(ctx context.Context, sink io.Writer, e Experiment, cfg RunnerConfig) (Result, error) {
+// RunGuarded is the one harness every experiment run and every daemon
+// job goes through. It applies timeout (0 disables), puts a private
+// sim.OpsCounter on the context so SimOps counts exactly the machines
+// this run attaches, and runs body on the calling goroutine with its
+// output teed to sink (which may be nil) as it is written. A panic in
+// body becomes the Result's Err; so does body's error, and when body
+// returns cleanly but its context is done, a timeout or cancellation
+// label. Cancellation is cooperative: body observes ctx at its own
+// iteration boundaries and returns, so a timed-out run frees its
+// worker instead of being abandoned to burn CPU in the background.
+//
+// The Result always captures the complete output; the returned error
+// is the first write error sink reported, if any.
+func RunGuarded(ctx context.Context, sink io.Writer, id, title string, timeout time.Duration,
+	body func(ctx context.Context, w io.Writer) error) (Result, error) {
 	rctx := ctx
-	if cfg.Timeout > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		rctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+		rctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	var ops sim.OpsCounter
 	rctx = sim.WithOpsSink(rctx, &ops)
 	t := &teeWriter{sink: sink}
 	start := time.Now()
-	errText := runRecovered(rctx, t, e, cfg.Quick)
+	errText := func() (errText string) {
+		defer func() {
+			if r := recover(); r != nil {
+				errText = fmt.Sprintf("panic: %v", r)
+			}
+		}()
+		if err := body(rctx, t); err != nil {
+			return err.Error()
+		}
+		return ""
+	}()
 
-	res := Result{ID: e.ID, Title: e.Title, Err: errText}
+	res := Result{ID: id, Title: title, Err: errText}
 	res.WallTime = time.Since(start)
 	res.SimOps = ops.Total()
 	if s := res.WallTime.Seconds(); s > 0 {
@@ -192,7 +198,7 @@ func RunOneGuarded(ctx context.Context, sink io.Writer, e Experiment, cfg Runner
 		switch err := rctx.Err(); {
 		case err == nil:
 		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-			res.Err = fmt.Sprintf("timeout after %s", cfg.Timeout)
+			res.Err = fmt.Sprintf("timeout after %s", timeout)
 		default:
 			res.Err = fmt.Sprintf("cancelled: %v", err)
 		}
@@ -217,20 +223,6 @@ func (t *teeWriter) Write(p []byte) (int, error) {
 		}
 	}
 	return len(p), nil
-}
-
-// runRecovered executes RunOne with panic containment, returning the
-// failure text ("" for a clean run).
-func runRecovered(ctx context.Context, w io.Writer, e Experiment, quick bool) (errText string) {
-	defer func() {
-		if r := recover(); r != nil {
-			errText = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	if err := RunOne(ctx, w, e, quick); err != nil {
-		return err.Error()
-	}
-	return ""
 }
 
 // WriteJSON writes results as an indented JSON array — one well-formed

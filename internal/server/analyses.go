@@ -75,12 +75,12 @@ func (sp *analysisSpec) normalize() error {
 	return nil
 }
 
-func (sp *analysisSpec) run(s *Server) (runFunc, error) {
+func (sp *analysisSpec) run(s *Server) (work, error) {
 	info, ok := s.traces.info(sp.Trace)
 	if !ok {
-		return nil, fmt.Errorf("unknown trace %q; upload it first (POST /v1/traces) — GET /v1/traces lists stored traces", sp.Trace)
+		return work{}, fmt.Errorf("unknown trace %q; upload it first (POST /v1/traces) — GET /v1/traces lists stored traces", sp.Trace)
 	}
-	return s.analysisJob(*sp, info), nil
+	return s.analysisWork(*sp, info), nil
 }
 
 func shortAddr(addr string) string {
@@ -90,27 +90,25 @@ func shortAddr(addr string) string {
 	return addr
 }
 
-// analysisJob builds the run function for a chunked analysis job: the
-// two-pass map/reduce pipeline over the stored trace's chunks, with
-// per-pass progress in the job stream and the rendered report as the
-// result output.
-func (s *Server) analysisJob(spec analysisSpec, info TraceInfo) runFunc {
+// analysisWork is a chunked analysis job: the two-pass map/reduce
+// pipeline over the stored trace's chunks, with per-pass progress in
+// the job stream only and the rendered report as the result output.
+func (s *Server) analysisWork(spec analysisSpec, info TraceInfo) work {
 	id := "analysis/" + shortAddr(spec.Trace)
 	title := fmt.Sprintf("chunked DirtBuster analysis of trace %s (%d chunks, %d records)",
 		shortAddr(spec.Trace), info.Chunks, info.Records)
-	return analysisRun(id, title, s.cfg.JobTimeout,
-		func(ctx context.Context, j *job, out *bytes.Buffer) error {
-			data, ok := s.traces.get(spec.Trace)
-			if !ok {
-				return fmt.Errorf("trace %s no longer in the store", spec.Trace)
-			}
-			rep, err := s.analyzeStored(ctx, j.out, data, spec)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, rep.Render())
-			return nil
-		})
+	return work{id, title, func(ctx context.Context, j *job, out io.Writer) error {
+		data, ok := s.traces.get(spec.Trace)
+		if !ok {
+			return fmt.Errorf("trace %s no longer in the store", spec.Trace)
+		}
+		rep, err := s.analyzeStored(ctx, j.out, data, spec)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, rep.Render())
+		return nil
+	}}
 }
 
 // analyzeStored runs the two-pass chunk pipeline over one encoded
@@ -134,7 +132,7 @@ func (s *Server) analyzeStored(ctx context.Context, progress io.Writer, data []b
 			return an.Stats(ctx, c)
 		},
 		func(_ int, st *dirtbuster.Stats) error {
-			s.m.traceChunks.Add(1)
+			s.m.traceChunks.Inc()
 			stats.Merge(st)
 			return nil
 		})
@@ -154,7 +152,7 @@ func (s *Server) analyzeStored(ctx context.Context, progress io.Writer, data []b
 				return an.Partial(ctx, plan, c)
 			},
 			func(_ int, pt *dirtbuster.Partial) error {
-				s.m.traceChunks.Add(1)
+				s.m.traceChunks.Inc()
 				return a.Apply(pt)
 			})
 		if err != nil {
@@ -165,7 +163,7 @@ func (s *Server) analyzeStored(ctx context.Context, progress io.Writer, data []b
 		}
 		fmt.Fprintf(progress, "pass 2: %d partials merged in chunk order\n", applied)
 	}
-	s.m.traceAnalyses.Add(1)
+	s.m.traceAnalyses.Inc()
 	return a.Report(), nil
 }
 
@@ -325,7 +323,7 @@ func (s *Server) handleAnalyzeChunk(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad chunk payload: %v", err)
 		return
 	}
-	s.m.traceChunks.Add(1)
+	s.m.traceChunks.Inc()
 	// A coordinator fanning out carries its analysis job's trace in the
 	// traceparent header; the shard-side chunk work becomes a span in
 	// that same trace, on this shard's store.

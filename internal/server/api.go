@@ -134,7 +134,7 @@ func (s *Server) routes() {
 // workloads, trace store); its error is a 404.
 type spec interface {
 	normalize() error
-	run(s *Server) (runFunc, error)
+	run(s *Server) (work, error)
 }
 
 // maxSpecBytes bounds a JSON submit body.
@@ -202,12 +202,12 @@ func (s *Server) submitHandler(rt Route) http.HandlerFunc {
 			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		run, err := sp.run(s)
+		wk, err := sp.run(s)
 		if err != nil {
 			WriteError(w, http.StatusNotFound, "%v", err)
 			return
 		}
-		st, j, err := s.submit(rt.Kind, key, !StreamRequested(r), parentFrom(r), run)
+		st, j, err := s.submit(rt.Kind, key, !StreamRequested(r), parentFrom(r), wk)
 		s.respondSubmit(w, r, st, j, err)
 	}
 }

@@ -1,18 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"prestores/internal/autotune"
-	"prestores/internal/bench"
 	"prestores/internal/scenario"
-	"prestores/internal/sim"
 )
 
 // evalSpec is the POST /v1/eval body: a single-point scenario spec
@@ -34,15 +30,15 @@ func (b *evalSpec) normalize() error {
 	return nil
 }
 
-func (b *evalSpec) run(s *Server) (runFunc, error) { return s.evalRun(b.sp, b.Quick), nil }
+func (b *evalSpec) run(*Server) (work, error) { return evalWork(b.sp, b.Quick), nil }
 
-// evalRun builds the run function for an eval job. The result's Output
-// is exactly the metrics map as canonical JSON (sorted keys) plus a
-// newline — machine-consumable, byte-stable, cache-friendly.
-func (s *Server) evalRun(sp scenario.Spec, quick bool) runFunc {
+// evalWork is an eval job. The result's Output is exactly the metrics
+// map as canonical JSON (sorted keys) plus a newline —
+// machine-consumable, byte-stable, cache-friendly.
+func evalWork(sp scenario.Spec, quick bool) work {
 	name := sp.Workload.Name
-	return analysisRun("eval/"+name, "single-point evaluation of "+name, s.cfg.JobTimeout,
-		func(ctx context.Context, _ *job, out *bytes.Buffer) error {
+	return work{"eval/" + name, "single-point evaluation of " + name,
+		func(ctx context.Context, _ *job, out io.Writer) error {
 			m, err := sp.EvalPoint(ctx, quick)
 			if err != nil {
 				return err
@@ -51,10 +47,9 @@ func (s *Server) evalRun(sp scenario.Spec, quick bool) runFunc {
 			if err != nil {
 				return err
 			}
-			out.Write(b)
-			out.WriteByte('\n')
-			return nil
-		})
+			_, err = out.Write(append(b, '\n'))
+			return err
+		}}
 }
 
 // autotuneSpec is the POST /v1/autotune body: the base single-point
@@ -93,64 +88,37 @@ func (b *autotuneSpec) normalize() error {
 	return nil
 }
 
-func (b *autotuneSpec) run(s *Server) (runFunc, error) { return s.autotuneRun(b.sp, b.par), nil }
+func (b *autotuneSpec) run(s *Server) (work, error) { return s.autotuneWork(b.sp, b.par), nil }
 
-// autotuneRun builds the run function for an autotuning search job.
-// Unlike analysisRun it streams as it goes: each NDJSON progress event
-// the engine emits reaches the job's progress log (and any attached
-// stream) immediately, not at job completion. The full trajectory and
-// the winner summary become job artifacts.
-func (s *Server) autotuneRun(sp scenario.Spec, par autotune.Params) runFunc {
+// autotuneWork is an autotuning search job. Each NDJSON progress event
+// the engine emits is job output, so it reaches any attached stream as
+// it happens. The full trajectory and the winner summary become job
+// artifacts.
+func (s *Server) autotuneWork(sp scenario.Spec, par autotune.Params) work {
 	name := sp.Workload.Name
-	return func(ctx context.Context, j *job) bench.Result {
-		if s.cfg.JobTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-			defer cancel()
-		}
-		var ops sim.OpsCounter
-		ctx = sim.WithOpsSink(ctx, &ops)
-		var out bytes.Buffer
-		progress := io.MultiWriter(&out, j.out)
-		start := time.Now()
-
-		errText := func() (errText string) {
-			defer func() {
-				if r := recover(); r != nil {
-					errText = fmt.Sprintf("panic: %v", r)
-				}
-			}()
+	return work{"autotune/" + name, "autotuning search over " + name,
+		func(ctx context.Context, j *job, progress io.Writer) error {
 			res, err := autotune.Run(ctx, sp, par, s.evaluator(), progress)
 			if err != nil {
-				return err.Error()
+				return err
 			}
 			traj, err := res.Trajectory.JSON()
 			if err != nil {
-				return err.Error()
+				return err
 			}
 			j.setArtifact("trajectory", traj)
 			winner, err := json.MarshalIndent(res.Trajectory.Winner, "", "  ")
 			if err != nil {
-				return err.Error()
+				return err
 			}
 			j.setArtifact("winner", append(winner, '\n'))
-			s.m.autotuneSearches.Add(1)
-			s.m.autotuneEvals.Add(int64(res.Trajectory.Evals))
+			s.m.autotuneSearches.Inc()
+			s.m.autotuneEvals.Add(uint64(res.Trajectory.Evals))
 			if res.Trajectory.Converged {
-				s.m.autotuneConverged.Add(1)
+				s.m.autotuneConverged.Inc()
 			}
-			return ""
-		}()
-
-		res := bench.Result{ID: "autotune/" + name, Title: "autotuning search over " + name, Err: errText}
-		res.WallTime = time.Since(start)
-		res.SimOps = ops.Total()
-		if sec := res.WallTime.Seconds(); sec > 0 {
-			res.SimOpsPerSec = float64(res.SimOps) / sec
-		}
-		res.Output = out.String()
-		return res
-	}
+			return nil
+		}}
 }
 
 // evaluator returns the measurement backend autotune jobs use: the

@@ -104,7 +104,7 @@ func (a clusterAnalyzer) dispatch(ctx context.Context, ch *trace.Chunk, body []b
 		tried++
 		data, err := a.tryShard(ctx, shard, body)
 		if err == nil {
-			c.m.chunks.inc(c.cfg.Shards[shard])
+			c.m.chunks.Inc(c.cfg.Shards[shard])
 			return data, nil
 		}
 		if ctx.Err() != nil {
@@ -114,7 +114,7 @@ func (a clusterAnalyzer) dispatch(ctx context.Context, ch *trace.Chunk, body []b
 		if errors.As(err, &fe) {
 			return nil, err
 		}
-		c.m.chunkRetries.inc(c.cfg.Shards[shard])
+		c.m.chunkRetries.Inc(c.cfg.Shards[shard])
 		lastErr = err
 	}
 	if tried == 0 {

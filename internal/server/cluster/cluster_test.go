@@ -514,24 +514,22 @@ func TestClusterSpellingVariantsShareOneShard(t *testing.T) {
 		keys = append(keys, st.Key)
 	}
 
-	routedShards, routed := coord.m.routed.snapshot()
-	hitShards, hits := coord.m.cacheHits.snapshot()
 	owner := ""
-	for i, n := range routed {
-		if n != 0 {
+	for _, shard := range coord.cfg.Shards {
+		if n := coord.m.routed.Value(shard); n != 0 {
 			if n != 1 || owner != "" {
-				t.Fatalf("routed counts %v over %v, want exactly one routed job", routed, routedShards)
+				t.Fatalf("routed count %d on %s, want exactly one routed job", n, shard)
 			}
-			owner = routedShards[i]
+			owner = shard
 		}
 	}
-	for i, n := range hits {
-		want := int64(0)
-		if hitShards[i] == owner {
+	for _, shard := range coord.cfg.Shards {
+		want := uint64(0)
+		if shard == owner {
 			want = 2
 		}
-		if n != want {
-			t.Fatalf("cache hits %v over %v, want 2 on %s (the routed shard) and none elsewhere", hits, hitShards, owner)
+		if n := coord.m.cacheHits.Value(shard); n != want {
+			t.Fatalf("cache hits %d on %s, want 2 on %s (the routed shard) and none elsewhere", n, shard, owner)
 		}
 	}
 

@@ -178,16 +178,11 @@ func New(cfg Config) (*Coordinator, error) {
 		start:  time.Now(),
 	}
 	c.tracer = &obs.Tracer{Service: "coordinator", Instance: cfg.Instance, Store: c.spans}
-	// Pre-seed every per-shard counter family with the configured
-	// shards: the series exist (at 0) from the very first scrape and
-	// never appear, vanish or reset as shards bounce in and out of the
-	// ring — counter monotonicity holds per series for the life of the
-	// coordinator process.
-	c.m.seed(cfg.Shards)
+	c.registerMetrics()
 	c.prober = newProber(cfg.Shards, c.client, cfg.ProbeInterval, cfg.ProbeTimeout, c.log,
 		func(shard int, healthy bool) {
 			if !healthy {
-				c.m.probeDowns.inc(cfg.Shards[shard])
+				c.m.probeDowns.Inc(cfg.Shards[shard])
 				c.flight.Record("shard.down", "", "", cfg.Shards[shard])
 			} else {
 				c.flight.Record("shard.up", "", "", cfg.Shards[shard])
@@ -342,9 +337,9 @@ func (c *Coordinator) submitHandler(rt server.Route) http.HandlerFunc {
 				shard: shard, remoteID: st.ID,
 				sc: sc, parentSpan: clientSC.Span, submitted: submitted}
 			if cached { // shard cache hit: already terminal
-				c.m.cacheHits.inc(c.cfg.Shards[shard])
+				c.m.cacheHits.Inc(c.cfg.Shards[shard])
 			} else {
-				c.m.routed.inc(c.cfg.Shards[shard])
+				c.m.routed.Inc(c.cfg.Shards[shard])
 			}
 			c.addJob(j)
 			*st = j.rewrite(*st)
@@ -368,7 +363,7 @@ func (c *Coordinator) submitHandler(rt server.Route) http.HandlerFunc {
 			server.WriteJSON(w, resp.Code, st)
 			return
 		}
-		c.m.rejected.Add(1)
+		c.m.rejected.Inc()
 		c.flight.Record("job.rejected", "", sc.Trace.String(), kind)
 		if tried == 0 {
 			server.WriteError(w, http.StatusServiceUnavailable, "%v (of %d)", errNoHealthyShard, len(c.cfg.Shards))
@@ -442,7 +437,7 @@ func (c *Coordinator) job(id string) *cjob {
 
 // shardFailed demotes a shard after a call it failed to answer.
 func (c *Coordinator) shardFailed(shard int, op string, err error) {
-	c.m.shardErrors.inc(c.cfg.Shards[shard])
+	c.m.shardErrors.Inc(c.cfg.Shards[shard])
 	c.flight.Recordf("shard.error", "", "", "%s %s: %v", c.cfg.Shards[shard], op, err)
 	c.log.Warn("shard call failed", "shard", c.cfg.Shards[shard], "op", op, "err", err)
 	c.prober.markDown(shard)
@@ -461,7 +456,7 @@ func (c *Coordinator) setResult(j *cjob, st server.JobStatus) {
 	}
 	c.closeRootSpan(j, st.State)
 	if st.State == "done" {
-		c.m.jobsDone.Add(1)
+		c.m.jobsDone.Inc()
 	}
 }
 
@@ -539,16 +534,16 @@ func (c *Coordinator) requeue(ctx context.Context, j *cjob, failedShard int, fai
 			j.mu.Lock()
 			j.shard, j.remoteID = target, st.ID
 			j.mu.Unlock()
-			c.m.requeued.inc(from)
-			c.m.routed.inc(to)
+			c.m.requeued.Inc(from)
+			c.m.routed.Inc(to)
 			c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
 				obs.KV("from", from), obs.KV("to", to), obs.KV("remote", st.ID))
 			c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (%s)", from, to, st.ID)
 			c.log.Warn("job requeued", "job", j.id, "from", from, "to", to, "remote", st.ID)
 			return nil
 		case st != nil && resp.Code == http.StatusOK:
-			c.m.requeued.inc(from)
-			c.m.cacheHits.inc(to)
+			c.m.requeued.Inc(from)
+			c.m.cacheHits.Inc(to)
 			c.tracer.Record(j.sc, "requeue", rqStart, time.Now(),
 				obs.KV("from", from), obs.KV("to", to), obs.KV("outcome", "cached"))
 			c.flight.Recordf("job.requeued", j.id, j.sc.Trace.String(), "%s -> %s (cached result)", from, to)
@@ -696,7 +691,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.renderMetrics(w)
+	c.m.reg.Write(w)
 	// Then the federated daemon families (prestored_*): the embedded
 	// host and every healthy worker shard, each sample relabeled with
 	// its origin — name-disjoint from the coordinator's own

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -40,7 +39,7 @@ func (c *Coordinator) writeFederated(ctx context.Context, w io.Writer) {
 		if rec.code == http.StatusOK {
 			sources = append(sources, source{"self", rec.body.Bytes()})
 		} else {
-			c.m.scrapeErrors.inc("self")
+			c.m.scrapeErrors.Inc("self")
 		}
 	}
 
@@ -53,43 +52,31 @@ func (c *Coordinator) writeFederated(ctx context.Context, w io.Writer) {
 		}
 		resp, err := c.client.Get(ctx, url+"/metrics")
 		if err != nil || resp.Code != http.StatusOK {
-			c.m.scrapeErrors.inc(url)
+			c.m.scrapeErrors.Inc(url)
 			continue
 		}
 		sources = append(sources, source{url, resp.Body})
 	}
 
-	merged := map[string]*obs.Family{}
-	var order []string
+	byName := map[string]*obs.Family{}
+	var merged []*obs.Family
 	for _, src := range sources {
 		fams, err := obs.ParseMetrics(bytes.NewReader(src.text))
 		if err != nil {
-			c.m.scrapeErrors.inc(src.label)
+			c.m.scrapeErrors.Inc(src.label)
 			continue
 		}
 		for _, f := range fams {
-			mf := merged[f.Name]
+			mf := byName[f.Name]
 			if mf == nil {
 				mf = &obs.Family{Name: f.Name, Help: f.Help, Type: f.Type}
-				merged[f.Name] = mf
-				order = append(order, f.Name)
+				byName[f.Name] = mf
+				merged = append(merged, mf)
 			}
 			for _, s := range f.Samples {
 				mf.Samples = append(mf.Samples, s.WithLabel("shard", src.label))
 			}
 		}
 	}
-
-	for _, name := range order {
-		f := merged[name]
-		if f.Help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", f.Name, f.Help)
-		}
-		if f.Type != "" {
-			fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Type)
-		}
-		for _, s := range f.Samples {
-			obs.WriteSample(w, s)
-		}
-	}
+	obs.WriteMetrics(w, merged)
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -333,9 +334,42 @@ func TestFederatedMetrics(t *testing.T) {
 	}
 
 	st := submitExp(t, cts.URL, "fm1")
-	waitFinal(t, cts.URL, st.ID)
+	jobs := []server.JobStatus{waitFinal(t, cts.URL, st.ID)}
+	// An eval simulates real ops on whichever shard it routes to.
+	const eval = `{"spec":{"version":1,"machine":{"preset":"machine-a"},` +
+		`"workload":{"name":"sites","params":{"once_lines":256,"rounds":2}},` +
+		`"policy":{"ops":["none"],"columns":[{"title":"elapsed","op":"none","metric":"elapsed"}]}}}`
+	code, data := postRaw(t, cts.URL+"/v1/eval", eval)
+	if code != http.StatusAccepted {
+		t.Fatalf("eval submit: status %d: %s", code, data)
+	}
+	jobs = append(jobs, waitFinal(t, cts.URL, decodeStatus(t, data).ID))
 
 	after := scrapeParsed()
+
+	// Each fleet member counts only the jobs it ran, so the federated
+	// op counters add up to exactly the jobs' own counts — in-process
+	// members must not each report the same ops.
+	var wantOps, gotOps uint64
+	for _, j := range jobs {
+		if j.State != "done" || j.Result == nil {
+			t.Fatalf("job %s: %+v", j.ID, j)
+		}
+		wantOps += j.Result.SimOps
+	}
+	if wantOps == 0 {
+		t.Fatal("the eval job retired no simulated ops")
+	}
+	for _, s := range after["prestored_sim_ops_total"].Samples {
+		v, err := strconv.ParseUint(s.Value, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotOps += v
+	}
+	if gotOps != wantOps {
+		t.Errorf("federated prestored_sim_ops_total sums to %d, want the jobs' sim_ops sum %d", gotOps, wantOps)
+	}
 	for name, f := range before {
 		if f.Type != "counter" || !strings.HasPrefix(name, "prestored_coordinator_") {
 			continue

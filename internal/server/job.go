@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -38,11 +39,15 @@ func (s jobState) String() string {
 	return fmt.Sprintf("jobState(%d)", int(s))
 }
 
-// runFunc executes a job's work, writing human-readable output to the
-// job's progress log as it is produced, and returns the final Result.
-// It receives the job so it can attach artifacts (setArtifact) such as
-// recorded telemetry.
-type runFunc func(ctx context.Context, j *job) bench.Result
+// work is what a job runs: the Result's id and title, and a body that
+// writes the job's human-readable output to w. The worker runs the body
+// under bench.RunGuarded, which streams w into the job's progress log
+// as it is written. The body receives the job so it can attach
+// artifacts (setArtifact) such as recorded telemetry.
+type work struct {
+	id, title string
+	body      func(ctx context.Context, j *job, w io.Writer) error
+}
 
 // job is one unit of work on the scheduler: an experiment run, a
 // DirtBuster analysis or a trace analysis. Its context is the
@@ -53,7 +58,7 @@ type job struct {
 	id   string
 	kind string
 	key  string
-	run  runFunc
+	work work
 
 	ctx       context.Context
 	cancel    context.CancelFunc

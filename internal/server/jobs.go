@@ -1,10 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"time"
+	"io"
 
 	"prestores/internal/bench"
 	"prestores/internal/dirtbuster"
@@ -21,12 +20,12 @@ type experimentSpec struct {
 
 func (sp *experimentSpec) normalize() error { return nil }
 
-func (sp *experimentSpec) run(s *Server) (runFunc, error) {
+func (sp *experimentSpec) run(s *Server) (work, error) {
 	e, ok := s.cfg.Lookup(sp.ID)
 	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q; GET /v1/experiments lists the registry", sp.ID)
+		return work{}, fmt.Errorf("unknown experiment %q; GET /v1/experiments lists the registry", sp.ID)
 	}
-	return s.experimentRun(e, sp.Quick), nil
+	return experimentWork(e, sp.Quick), nil
 }
 
 // dirtbusterSpec is the POST /v1/dirtbuster body.
@@ -37,12 +36,12 @@ type dirtbusterSpec struct {
 
 func (sp *dirtbusterSpec) normalize() error { return nil }
 
-func (sp *dirtbusterSpec) run(s *Server) (runFunc, error) {
+func (sp *dirtbusterSpec) run(s *Server) (work, error) {
 	wl, ok := s.lookupWorkload(sp.Workload, sp.Quick)
 	if !ok {
-		return nil, fmt.Errorf("unknown workload %q; GET /v1/workloads lists them", sp.Workload)
+		return work{}, fmt.Errorf("unknown workload %q; GET /v1/workloads lists them", sp.Workload)
 	}
-	return s.dirtbusterRun(wl), nil
+	return dirtbusterWork(wl), nil
 }
 
 // traceSpec is the POST /v1/trace body: record the named workload's
@@ -74,76 +73,23 @@ func (sp *traceSpec) normalize() error {
 	return nil
 }
 
-func (sp *traceSpec) run(s *Server) (runFunc, error) {
+func (sp *traceSpec) run(s *Server) (work, error) {
 	// Trace recordings always use smoke-sized workloads, like
 	// prestore-trace: full traces of full-size workloads are huge.
 	wl, ok := s.lookupWorkload(sp.Workload, true)
 	if !ok {
-		return nil, fmt.Errorf("unknown workload %q; GET /v1/workloads lists them", sp.Workload)
+		return work{}, fmt.Errorf("unknown workload %q; GET /v1/workloads lists them", sp.Workload)
 	}
-	return s.traceRun(wl, *sp), nil
+	return traceWork(wl, *sp), nil
 }
 
-// experimentRun builds the run function for an experiment job: the
-// bench runner's single-experiment harness (panic containment,
-// timeout, cooperative cancellation, SimOps accounting), streaming
-// output into the progress log as rows are produced. The output bytes
-// are exactly what bench.RunOne writes for the same experiment, which
-// is what the golden-determinism guard asserts.
-func (s *Server) experimentRun(e bench.Experiment, quick bool) runFunc {
-	return func(ctx context.Context, j *job) bench.Result {
-		r, _ := bench.RunOneGuarded(ctx, j.out, e, bench.RunnerConfig{
-			Quick:   quick,
-			Timeout: s.cfg.JobTimeout,
-		})
-		return r
-	}
-}
-
-// analysisRun wraps a DirtBuster or trace analysis in the same
-// guarded shape as an experiment run: panic containment, wall-time and
-// SimOps accounting, cancellation labeling. The analyses themselves
-// are single pipeline stages over a private simulated machine, so
-// cancellation is observed between stages rather than mid-simulation.
-// The body receives the job so it can attach artifacts. SimOps comes
-// from a per-run counter the body's machines attach to via the
-// context, so concurrent jobs never inflate each other's counts.
-func analysisRun(id, title string, timeout time.Duration,
-	body func(ctx context.Context, j *job, out *bytes.Buffer) error) runFunc {
-	return func(ctx context.Context, j *job) bench.Result {
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		var ops sim.OpsCounter
-		ctx = sim.WithOpsSink(ctx, &ops)
-		var out bytes.Buffer
-		start := time.Now()
-		errText := func() (errText string) {
-			defer func() {
-				if r := recover(); r != nil {
-					errText = fmt.Sprintf("panic: %v", r)
-				}
-			}()
-			if err := ctx.Err(); err != nil {
-				return fmt.Sprintf("cancelled: %v", err)
-			}
-			if err := body(ctx, j, &out); err != nil {
-				return err.Error()
-			}
-			return ""
-		}()
-		res := bench.Result{ID: id, Title: title, Err: errText}
-		res.WallTime = time.Since(start)
-		res.SimOps = ops.Total()
-		if sec := res.WallTime.Seconds(); sec > 0 {
-			res.SimOpsPerSec = float64(res.SimOps) / sec
-		}
-		res.Output = out.String()
-		j.out.Write(out.Bytes())
-		return res
-	}
+// experimentWork is an experiment job: exactly what bench.RunOne
+// writes for the experiment, which is what the golden-determinism guard
+// asserts.
+func experimentWork(e bench.Experiment, quick bool) work {
+	return work{e.ID, e.Title, func(ctx context.Context, _ *job, w io.Writer) error {
+		return bench.RunOne(ctx, w, e, quick)
+	}}
 }
 
 // attachOps returns a copy of wl whose machines report retired ops to
@@ -164,27 +110,26 @@ func (s *Server) lookupWorkload(name string, quick bool) (dirtbuster.Workload, b
 	return dirtbuster.Workload{}, false
 }
 
-// dirtbusterRun builds the run function for a DirtBuster analysis job.
-func (s *Server) dirtbusterRun(wl dirtbuster.Workload) runFunc {
-	return analysisRun("dirtbuster/"+wl.Name, "DirtBuster analysis of "+wl.Name, s.cfg.JobTimeout,
-		func(ctx context.Context, _ *job, out *bytes.Buffer) error {
-			wl := attachOps(ctx, wl)
-			rep := dirtbuster.Analyze(wl, dirtbuster.Config{})
-			fmt.Fprintln(out, rep.Render())
+// dirtbusterWork is a DirtBuster analysis job. The analysis is one
+// pipeline stage over a private simulated machine, so it does not
+// observe cancellation mid-run.
+func dirtbusterWork(wl dirtbuster.Workload) work {
+	return work{"dirtbuster/" + wl.Name, "DirtBuster analysis of " + wl.Name,
+		func(ctx context.Context, _ *job, w io.Writer) error {
+			rep := dirtbuster.Analyze(attachOps(ctx, wl), dirtbuster.Config{})
+			fmt.Fprintln(w, rep.Render())
 			return nil
-		})
+		}}
 }
 
-// traceRun builds the run function for a trace-analysis job: record
-// the workload's full operation trace, then analyze the recording
-// offline per spec.Mode. Cancellation is checked between the record
-// and analyze stages.
-func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) runFunc {
+// traceWork is a trace-analysis job: record the workload's full
+// operation trace, then analyze the recording offline per spec.Mode.
+// Cancellation is checked between the record and analyze stages.
+func traceWork(wl dirtbuster.Workload, spec traceSpec) work {
 	mode := spec.Mode
-	return analysisRun("trace/"+mode+"/"+wl.Name, "trace analysis ("+mode+") of "+wl.Name, s.cfg.JobTimeout,
-		func(ctx context.Context, _ *job, out *bytes.Buffer) error {
-			wl := attachOps(ctx, wl)
-			tb, line := dirtbuster.Record(wl)
+	return work{"trace/" + mode + "/" + wl.Name, "trace analysis (" + mode + ") of " + wl.Name,
+		func(ctx context.Context, _ *job, out io.Writer) error {
+			tb, line := dirtbuster.Record(attachOps(ctx, wl))
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("cancelled: %w", err)
 			}
@@ -216,5 +161,5 @@ func (s *Server) traceRun(wl dirtbuster.Workload, spec traceSpec) runFunc {
 				return fmt.Errorf("unknown trace mode %q (want dirtbuster, report or pmcheck)", mode)
 			}
 			return nil
-		})
+		}}
 }

@@ -1,15 +1,10 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"prestores/internal/sim"
+	"prestores/internal/obs"
 )
 
 // durBuckets are the histogram upper bounds (seconds) shared by the
@@ -19,269 +14,112 @@ var durBuckets = []float64{
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300,
 }
 
-// histogram is one Prometheus histogram series: per-bucket counts (the
-// last slot is +Inf), an observation count and a sum in nanoseconds.
-// Counts are stored per bucket and cumulated at render time.
-type histogram struct {
-	counts   [16]atomic.Int64 // len(durBuckets)+1; last is +Inf
-	total    atomic.Int64
-	sumNanos atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	s := d.Seconds()
-	slot := len(durBuckets)
-	for i, b := range durBuckets {
-		if s <= b {
-			slot = i
-			break
-		}
-	}
-	h.counts[slot].Add(1)
-	h.total.Add(1)
-	h.sumNanos.Add(int64(d))
-}
-
-// histogramVec is a histogram family labeled by job kind.
-type histogramVec struct {
-	mu     sync.Mutex
-	byKind map[string]*histogram
-}
-
-func (v *histogramVec) observe(kind string, d time.Duration) {
-	v.mu.Lock()
-	h := v.byKind[kind]
-	if h == nil {
-		if v.byKind == nil {
-			v.byKind = map[string]*histogram{}
-		}
-		h = &histogram{}
-		v.byKind[kind] = h
-	}
-	v.mu.Unlock()
-	h.observe(d)
-}
-
-// snapshot returns the family's kinds in sorted order for deterministic
-// rendering.
-func (v *histogramVec) snapshot() (kinds []string, hists []*histogram) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for k := range v.byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		hists = append(hists, v.byKind[k])
-	}
-	return kinds, hists
-}
-
-// counterVec is a counter family labeled by job kind and final state.
-type counterVec struct {
-	mu     sync.Mutex
-	counts map[[2]string]int64
-}
-
-func (v *counterVec) inc(kind, state string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.counts == nil {
-		v.counts = map[[2]string]int64{}
-	}
-	v.counts[[2]string{kind, state}]++
-}
-
-func (v *counterVec) snapshot() (keys [][2]string, vals []int64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for k := range v.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		vals = append(vals, v.counts[k])
-	}
-	return keys, vals
-}
-
-// metrics holds the daemon's monotonic counters. Gauges that are
-// derived from scheduler state (queue depth, cache size) are sampled
-// at scrape time and passed to render as metricsGauges.
+// metrics holds the daemon's counters, registered into its obs
+// registry. Gauges derived from scheduler state (queue depth, cache
+// size) are registered as functions sampled at scrape time.
 type metrics struct {
-	jobsDone      atomic.Int64
-	jobsFailed    atomic.Int64
-	jobsCancelled atomic.Int64
-	cacheHits     atomic.Int64
-	cacheMisses   atomic.Int64
-	coalesced     atomic.Int64
-	rejected      atomic.Int64
-	running       atomic.Int64
+	reg obs.Registry
+
+	jobsDone, jobsFailed, jobsCancelled *obs.Counter
+	rejected                            *obs.Counter
+	cacheHits, cacheMisses, coalesced   *obs.Counter
 
 	// Autotuning-search counters (POST /v1/autotune).
-	autotuneSearches  atomic.Int64
-	autotuneEvals     atomic.Int64
-	autotuneConverged atomic.Int64
+	autotuneSearches, autotuneEvals, autotuneConverged *obs.Counter
 
 	// Trace-pipeline counters (POST /v1/traces, /v1/analyses).
-	traceUploads     atomic.Int64
-	traceUploadBytes atomic.Int64
-	traceAnalyses    atomic.Int64
-	traceChunks      atomic.Int64
+	traceUploads, traceUploadBytes, traceAnalyses, traceChunks *obs.Counter
 
-	// Labeled families: per-kind scheduling latency and run duration,
-	// and per-kind/state completion counts.
-	queueWait histogramVec
-	runDur    histogramVec
-	finished  counterVec
+	// Labeled families: per-kind/state completion counts, and per-kind
+	// scheduling latency and run duration.
+	finished          *obs.CounterVec
+	queueWait, runDur *obs.HistogramVec
 
-	startOps uint64 // sim.RetiredOps() at server start
-	start    time.Time
+	running atomic.Int64
+	// simOps sums the SimOps of every job this daemon finished: each
+	// job counts its own machines on a private sim.OpsCounter, so the
+	// total is exact and belongs to this daemon alone.
+	simOps *obs.Counter
 }
 
-func (m *metrics) init() {
-	m.startOps = sim.RetiredOps()
-	m.start = time.Now()
-}
-
-// metricsGauges is the point-in-time scheduler state sampled per scrape.
-type metricsGauges struct {
-	queueDepth    int
-	queueCapacity int
-	workers       int
-	inflight      int
-	cacheEntries  int
-	uptime        time.Duration
-
-	// Warm-state checkpoint store counters, sampled from the shared
-	// store; the family is omitted when checkpointing is disabled.
-	ckptEnabled bool
-	ckptHits    uint64
-	ckptMisses  uint64
-	ckptBytes   int64
-
-	// Trace-store occupancy, sampled from the store per scrape.
-	traceBytes  int64
-	traceStored int
-
-	// Build identity and observability-store occupancy.
-	version       string
-	goVersion     string
-	spanTraces    int
-	flightRecords uint64
-}
-
-// render writes the Prometheus text exposition format (version 0.0.4).
-func (m *metrics) render(w io.Writer, g metricsGauges) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// registerMetrics registers the daemon's families in exposition order.
+func (s *Server) registerMetrics() {
+	m, r := &s.m, &s.m.reg
+	gauge := func(name, help string, f func() int) {
+		r.GaugeFunc(name, help, func() float64 { return float64(f()) })
 	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+	locked := func(f func() int) func() int {
+		return func() int {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return f()
+		}
 	}
 
 	// Build identity as the conventional constant-1 info gauge: joins
 	// let dashboards slice any series by the build that produced it.
-	fmt.Fprintf(w, "# HELP prestored_build_info Build identity of this daemon; constant 1.\n")
-	fmt.Fprintf(w, "# TYPE prestored_build_info gauge\nprestored_build_info{version=%q,go=%q} 1\n",
-		g.version, g.goVersion)
+	r.GaugeVecFunc("prestored_build_info", "Build identity of this daemon; constant 1.",
+		[]string{"version", "go"}, func(set func(float64, ...string)) {
+			set(1, s.cfg.Version, obs.GoVersion())
+		})
 
-	counter("prestored_jobs_completed_total", "Jobs that finished successfully.", m.jobsDone.Load())
-	counter("prestored_jobs_failed_total", "Jobs that finished with an error (panic or timeout).", m.jobsFailed.Load())
-	counter("prestored_jobs_cancelled_total", "Jobs cancelled before completion.", m.jobsCancelled.Load())
-	counter("prestored_jobs_rejected_total", "Submits rejected with 429 because the queue was full.", m.rejected.Load())
-	counter("prestored_cache_hits_total", "Submits answered from the result cache.", m.cacheHits.Load())
-	counter("prestored_cache_misses_total", "Submits that enqueued new work.", m.cacheMisses.Load())
-	counter("prestored_coalesced_total", "Submits attached to an identical in-flight job.", m.coalesced.Load())
-	counter("prestored_autotune_searches_total", "Autotuning searches that completed successfully.", m.autotuneSearches.Load())
-	counter("prestored_autotune_evals_total", "Candidate plan evaluations performed by autotuning searches.", m.autotuneEvals.Load())
-	counter("prestored_autotune_converged_total", "Autotuning searches that reached a local optimum within budget.", m.autotuneConverged.Load())
-	counter("prestored_trace_uploads_total", "Trace recordings accepted into the store (one-shot or committed resumable uploads).", m.traceUploads.Load())
-	counter("prestored_trace_upload_bytes_total", "Encoded bytes of accepted trace recordings.", m.traceUploadBytes.Load())
-	counter("prestored_trace_analyses_total", "Chunked trace analyses that completed successfully.", m.traceAnalyses.Load())
-	counter("prestored_trace_chunks_total", "Trace chunks processed by analysis passes (local or on behalf of a coordinator).", m.traceChunks.Load())
-	gauge("prestored_trace_store_bytes", "Bytes held by the trace store (stored traces plus open upload buffers).", float64(g.traceBytes))
-	gauge("prestored_trace_stored", "Recordings currently in the trace store.", float64(g.traceStored))
+	m.jobsDone = r.Counter("prestored_jobs_completed_total", "Jobs that finished successfully.")
+	m.jobsFailed = r.Counter("prestored_jobs_failed_total", "Jobs that finished with an error (panic or timeout).")
+	m.jobsCancelled = r.Counter("prestored_jobs_cancelled_total", "Jobs cancelled before completion.")
+	m.rejected = r.Counter("prestored_jobs_rejected_total", "Submits rejected with 429 because the queue was full.")
+	m.cacheHits = r.Counter("prestored_cache_hits_total", "Submits answered from the result cache.")
+	m.cacheMisses = r.Counter("prestored_cache_misses_total", "Submits that enqueued new work.")
+	m.coalesced = r.Counter("prestored_coalesced_total", "Submits attached to an identical in-flight job.")
+	m.autotuneSearches = r.Counter("prestored_autotune_searches_total", "Autotuning searches that completed successfully.")
+	m.autotuneEvals = r.Counter("prestored_autotune_evals_total", "Candidate plan evaluations performed by autotuning searches.")
+	m.autotuneConverged = r.Counter("prestored_autotune_converged_total", "Autotuning searches that reached a local optimum within budget.")
+	m.traceUploads = r.Counter("prestored_trace_uploads_total", "Trace recordings accepted into the store (one-shot or committed resumable uploads).")
+	m.traceUploadBytes = r.Counter("prestored_trace_upload_bytes_total", "Encoded bytes of accepted trace recordings.")
+	m.traceAnalyses = r.Counter("prestored_trace_analyses_total", "Chunked trace analyses that completed successfully.")
+	m.traceChunks = r.Counter("prestored_trace_chunks_total", "Trace chunks processed by analysis passes (local or on behalf of a coordinator).")
+	r.GaugeFunc("prestored_trace_store_bytes", "Bytes held by the trace store (stored traces plus open upload buffers).",
+		func() float64 { b, _ := s.traces.usage(); return float64(b) })
+	gauge("prestored_trace_stored", "Recordings currently in the trace store.",
+		func() int { _, n := s.traces.usage(); return n })
 
-	if g.ckptEnabled {
-		// Unsigned counters rendered with %d directly: a uint64 past
-		// 1<<63 must not appear negative.
-		uctr := func(name, help string, v uint64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	// The checkpoint families exist only when checkpointing is on.
+	if s.ck != nil {
+		r.CounterFunc("prestored_checkpoint_hits_total", "Warm-state checkpoint lookups answered from the store.", s.ck.Hits)
+		r.CounterFunc("prestored_checkpoint_misses_total", "Warm-state checkpoint lookups that loaded cold.", s.ck.Misses)
+		r.GaugeFunc("prestored_checkpoint_store_bytes", "Bytes of warm-state checkpoints held in memory.",
+			func() float64 { return float64(s.ck.Bytes()) })
+	}
+
+	m.finished = r.CounterVec("prestored_jobs_finished_total", "Jobs reaching a final state, by kind and state.", "kind", "state")
+	m.queueWait = r.HistogramVec("prestored_job_queue_wait_seconds",
+		"Time jobs spent queued before a worker picked them up, by kind.", "kind", durBuckets)
+	m.runDur = r.HistogramVec("prestored_job_run_seconds",
+		"Wall-clock run duration of jobs, by kind.", "kind", durBuckets)
+
+	gauge("prestored_jobs_running", "Jobs currently executing on a worker.", func() int { return int(m.running.Load()) })
+	gauge("prestored_queue_depth", "Jobs waiting in the queue.", func() int { return len(s.queue) })
+	gauge("prestored_queue_capacity", "Bound on queued jobs; full queue rejects with 429.", func() int { return s.cfg.QueueDepth })
+	gauge("prestored_workers", "Worker-pool size.", func() int { return s.cfg.Workers })
+	gauge("prestored_inflight_keys", "Distinct cache keys currently queued or running.", locked(func() int { return len(s.inflight) }))
+	gauge("prestored_cache_entries", "Results held in the cache.", locked(func() int { return len(s.cache) }))
+	r.GaugeFunc("prestored_uptime_seconds", "Seconds since the daemon started.",
+		func() float64 { return time.Since(s.start).Seconds() })
+	gauge("prestored_span_traces", "Traces currently held by the span store.", s.spans.Traces)
+	r.CounterFunc("prestored_flight_records_total", "Entries appended to the flight recorder since start.", s.flight.Recorded)
+
+	r.GaugeFunc("prestored_cache_hit_ratio", "cache_hits / (cache_hits + cache_misses) since start.", func() float64 {
+		hits, misses := m.cacheHits.Value(), m.cacheMisses.Value()
+		if hits+misses == 0 {
+			return 0
 		}
-		uctr("prestored_checkpoint_hits_total", "Warm-state checkpoint lookups answered from the store.", g.ckptHits)
-		uctr("prestored_checkpoint_misses_total", "Warm-state checkpoint lookups that loaded cold.", g.ckptMisses)
-		gauge("prestored_checkpoint_store_bytes", "Bytes of warm-state checkpoints held in memory.", float64(g.ckptBytes))
-	}
+		return float64(hits) / float64(hits+misses)
+	})
 
-	if keys, vals := m.finished.snapshot(); len(keys) > 0 {
-		fmt.Fprintf(w, "# HELP prestored_jobs_finished_total Jobs reaching a final state, by kind and state.\n")
-		fmt.Fprintf(w, "# TYPE prestored_jobs_finished_total counter\n")
-		for i, k := range keys {
-			fmt.Fprintf(w, "prestored_jobs_finished_total{kind=%q,state=%q} %d\n", k[0], k[1], vals[i])
+	m.simOps = r.Counter("prestored_sim_ops_total", "Simulated operations retired since the daemon started.")
+	r.GaugeFunc("prestored_sim_ops_per_second", "Average simulated-operation throughput since start.", func() float64 {
+		if sec := time.Since(s.start).Seconds(); sec > 0 {
+			return float64(m.simOps.Value()) / sec
 		}
-	}
-
-	m.renderHistogram(w, "prestored_job_queue_wait_seconds",
-		"Time jobs spent queued before a worker picked them up, by kind.", &m.queueWait)
-	m.renderHistogram(w, "prestored_job_run_seconds",
-		"Wall-clock run duration of jobs, by kind.", &m.runDur)
-
-	gauge("prestored_jobs_running", "Jobs currently executing on a worker.", float64(m.running.Load()))
-	gauge("prestored_queue_depth", "Jobs waiting in the queue.", float64(g.queueDepth))
-	gauge("prestored_queue_capacity", "Bound on queued jobs; full queue rejects with 429.", float64(g.queueCapacity))
-	gauge("prestored_workers", "Worker-pool size.", float64(g.workers))
-	gauge("prestored_inflight_keys", "Distinct cache keys currently queued or running.", float64(g.inflight))
-	gauge("prestored_cache_entries", "Results held in the cache.", float64(g.cacheEntries))
-	gauge("prestored_uptime_seconds", "Seconds since the daemon started.", g.uptime.Seconds())
-	gauge("prestored_span_traces", "Traces currently held by the span store.", float64(g.spanTraces))
-	fmt.Fprintf(w, "# HELP prestored_flight_records_total Entries appended to the flight recorder since start.\n")
-	fmt.Fprintf(w, "# TYPE prestored_flight_records_total counter\nprestored_flight_records_total %d\n", g.flightRecords)
-
-	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
-	}
-	gauge("prestored_cache_hit_ratio", "cache_hits / (cache_hits + cache_misses) since start.", ratio)
-
-	// The op count is unsigned: a uint64 past 1<<63 must not render as a
-	// negative counter.
-	ops := sim.RetiredOps() - m.startOps
-	fmt.Fprintf(w, "# HELP prestored_sim_ops_total Simulated operations retired since the daemon started.\n")
-	fmt.Fprintf(w, "# TYPE prestored_sim_ops_total counter\nprestored_sim_ops_total %d\n", ops)
-	opsPerSec := 0.0
-	if sec := time.Since(m.start).Seconds(); sec > 0 {
-		opsPerSec = float64(ops) / sec
-	}
-	gauge("prestored_sim_ops_per_second", "Average simulated-operation throughput since start.", opsPerSec)
-}
-
-// renderHistogram writes one labeled histogram family. Buckets are
-// cumulative per Prometheus semantics; the sum is in seconds.
-func (m *metrics) renderHistogram(w io.Writer, name, help string, v *histogramVec) {
-	kinds, hists := v.snapshot()
-	if len(kinds) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	for i, kind := range kinds {
-		h := hists[i]
-		var cum int64
-		for bi, bound := range durBuckets {
-			cum += h.counts[bi].Load()
-			fmt.Fprintf(w, "%s_bucket{kind=%q,le=%q} %d\n", name, kind,
-				strconv.FormatFloat(bound, 'g', -1, 64), cum)
-		}
-		cum += h.counts[len(durBuckets)].Load()
-		fmt.Fprintf(w, "%s_bucket{kind=%q,le=\"+Inf\"} %d\n", name, kind, cum)
-		fmt.Fprintf(w, "%s_sum{kind=%q} %g\n", name, kind,
-			time.Duration(h.sumNanos.Load()).Seconds())
-		fmt.Fprintf(w, "%s_count{kind=%q} %d\n", name, kind, h.total.Load())
-	}
+		return 0
+	})
 }

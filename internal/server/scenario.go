@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"prestores/internal/bench"
@@ -44,15 +45,15 @@ func (b *scenarioSpec) normalize() error {
 	return nil
 }
 
-func (b *scenarioSpec) run(s *Server) (runFunc, error) { return s.scenarioRun(b.sp, b.Quick), nil }
+func (b *scenarioSpec) run(*Server) (work, error) { return scenarioWork(b.sp, b.Quick), nil }
 
-// scenarioRun builds the run function for a scenario job: the guarded
-// analysis harness around the declarative grid runner. A spec with a
+// scenarioWork is a scenario job: the declarative grid runner, with
+// rows streaming as grid points finish. A spec with a
 // telemetry block gets a per-job recorder attached (via the context
 // observer, so concurrent jobs never see each other's machines); the
 // recorded timeline and line report become job artifacts served from
 // GET /v1/jobs/{id}/timeline and .../linereport.
-func (s *Server) scenarioRun(sp scenario.Spec, quick bool) runFunc {
+func scenarioWork(sp scenario.Spec, quick bool) work {
 	name := sp.Name
 	if name == "" {
 		name = "custom"
@@ -61,8 +62,8 @@ func (s *Server) scenarioRun(sp scenario.Spec, quick bool) runFunc {
 	if title == "" {
 		title = "custom scenario"
 	}
-	return analysisRun("scenario/"+name, title, s.cfg.JobTimeout,
-		func(ctx context.Context, j *job, out *bytes.Buffer) error {
+	return work{"scenario/" + name, title,
+		func(ctx context.Context, j *job, out io.Writer) error {
 			t := sp.Telemetry
 			if t == nil {
 				return bench.RunSpec(ctx, out, sp, quick)
@@ -90,7 +91,7 @@ func (s *Server) scenarioRun(sp scenario.Spec, quick bool) runFunc {
 				rep.WriteText(out)
 			}
 			return err
-		})
+		}}
 }
 
 // registryDevices describes the device-kind registry: the kinds a

@@ -2,10 +2,11 @@
 // experiments, DirtBuster analyses and trace analyses — as a
 // simulation-as-a-service HTTP/JSON daemon (cmd/prestored). It is
 // stdlib-only: net/http for transport, a bounded job queue feeding a
-// worker pool built on the bench runner's guarded single-experiment
-// harness, a content-addressed result cache with in-flight request
-// coalescing, NDJSON progress streaming, Prometheus-text metrics, and
-// graceful shutdown that drains running jobs.
+// worker pool that runs every job kind under the bench runner's guarded
+// harness (bench.RunGuarded), a content-addressed result cache with
+// in-flight request coalescing, NDJSON progress streaming,
+// Prometheus-text metrics, and graceful shutdown that drains running
+// jobs.
 //
 // API (all JSON unless noted):
 //
@@ -203,7 +204,7 @@ func New(cfg Config) *Server {
 		ck.SetFlight(s.flight)
 		s.ck = ck
 	}
-	s.m.init()
+	s.registerMetrics()
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -266,7 +267,7 @@ func (s *Server) worker() {
 			continue
 		}
 		wait := time.Since(j.submitted)
-		s.m.queueWait.observe(j.kind, wait)
+		s.m.queueWait.Observe(j.kind, wait)
 		// The queue wait becomes a span after the fact: submit time to
 		// pickup, parented to the job's root span.
 		s.tracer.Record(j.sc, "queue.wait", j.submitted, time.Now(), obs.KV("kind", j.kind))
@@ -287,11 +288,12 @@ func (s *Server) worker() {
 		ctx = obs.ContextWithSpan(obs.ContextWithTracer(ctx, s.tracer), j.sc)
 		ctx, runSpan := obs.Start(ctx, "run", obs.KV("kind", j.kind), obs.KV("job", j.id))
 		start := time.Now()
-		res := j.run(ctx, j)
+		res, _ := bench.RunGuarded(ctx, j.out, j.work.id, j.work.title, s.cfg.JobTimeout,
+			func(ctx context.Context, w io.Writer) error { return j.work.body(ctx, j, w) })
 		dur := time.Since(start)
 		runSpan.End()
 		s.m.running.Add(-1)
-		s.m.runDur.observe(j.kind, dur)
+		s.m.runDur.Observe(j.kind, dur)
 		s.finalize(j, res)
 	}
 }
@@ -303,14 +305,14 @@ func (s *Server) worker() {
 // span context (extracted from the request's traceparent header): the
 // new job's trace continues it, so a coordinator — or the bench client
 // — sees its remote work under its own trace ID.
-func (s *Server) submit(kind, key string, detached bool, parent obs.SpanContext, run runFunc) (JobStatus, *job, error) {
+func (s *Server) submit(kind, key string, detached bool, parent obs.SpanContext, wk work) (JobStatus, *job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return JobStatus{}, nil, errShuttingDown
 	}
 	if res, ok := s.cache[key]; ok {
-		s.m.cacheHits.Add(1)
+		s.m.cacheHits.Inc()
 		id := s.cacheIDs[key]
 		s.flight.Record("cache.hit", id, parent.Trace.String(), kind)
 		if parent.Valid() {
@@ -326,7 +328,7 @@ func (s *Server) submit(kind, key string, detached bool, parent obs.SpanContext,
 		}, nil, nil
 	}
 	if j, ok := s.inflight[key]; ok {
-		s.m.coalesced.Add(1)
+		s.m.coalesced.Inc()
 		s.flight.Record("coalesced", j.id, parent.Trace.String(), kind)
 		if parent.Valid() {
 			now := time.Now()
@@ -347,7 +349,7 @@ func (s *Server) submit(kind, key string, detached bool, parent obs.SpanContext,
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		id: fmt.Sprintf("job-%d", s.seq), kind: kind, key: key,
-		run: run, ctx: ctx, cancel: cancel,
+		work: wk, ctx: ctx, cancel: cancel,
 		out: newProgressLog(), done: make(chan struct{}),
 		detached: detached, submitted: time.Now(),
 		sc: s.tracer.Child(parent), parent: parent.Span,
@@ -356,13 +358,13 @@ func (s *Server) submit(kind, key string, detached bool, parent obs.SpanContext,
 	case s.queue <- j:
 	default:
 		cancel()
-		s.m.rejected.Add(1)
+		s.m.rejected.Inc()
 		s.flight.Record("rejected", "", parent.Trace.String(), kind+": queue full")
 		return JobStatus{}, nil, errQueueFull
 	}
 	s.jobs[j.id] = j
 	s.inflight[key] = j
-	s.m.cacheMisses.Add(1)
+	s.m.cacheMisses.Inc()
 	s.flight.Record("job.queued", j.id, j.sc.Trace.String(), kind)
 	s.log.InfoContext(j.logCtx(), "job submitted", "job", j.id, "kind", kind, "key", key)
 	return j.status(), j, nil
@@ -419,19 +421,20 @@ func (s *Server) finalize(j *job, res bench.Result) {
 	logCtx := j.logCtx()
 	switch final {
 	case stateDone:
-		s.m.jobsDone.Add(1)
+		s.m.jobsDone.Inc()
 		s.flight.Record("job.done", j.id, j.sc.Trace.String(), j.kind)
 		s.log.InfoContext(logCtx, "job done", attrs...)
 	case stateFailed:
-		s.m.jobsFailed.Add(1)
+		s.m.jobsFailed.Inc()
 		s.flight.Record("job.failed", j.id, j.sc.Trace.String(), res.Err)
 		s.log.WarnContext(logCtx, "job failed", append(attrs, "error", res.Err)...)
 	case stateCancelled:
-		s.m.jobsCancelled.Add(1)
+		s.m.jobsCancelled.Inc()
 		s.flight.Record("job.cancelled", j.id, j.sc.Trace.String(), j.kind)
 		s.log.InfoContext(logCtx, "job cancelled", attrs...)
 	}
-	s.m.finished.inc(j.kind, final.String())
+	s.m.finished.Inc(j.kind, final.String())
+	s.m.simOps.Add(res.SimOps)
 	j.mu.Lock()
 	j.state = final
 	j.result = &res
@@ -503,8 +506,8 @@ func (s *Server) finalizeAbandoned(j *job) {
 	}
 	s.finished = append(s.finished, j.id)
 	s.mu.Unlock()
-	s.m.jobsCancelled.Add(1)
-	s.m.finished.inc(j.kind, stateCancelled.String())
+	s.m.jobsCancelled.Inc()
+	s.m.finished.Inc(j.kind, stateCancelled.String())
 	s.tracer.Add(obs.Span{
 		Trace: j.sc.Trace, ID: j.sc.Span, Parent: j.parent,
 		Name: "job", Start: j.submitted.UnixNano(), End: time.Now().UnixNano(),
@@ -718,30 +721,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	queued := len(s.queue)
-	cacheEntries := len(s.cache)
-	inflight := len(s.inflight)
-	s.mu.Unlock()
-	g := metricsGauges{
-		queueDepth:    queued,
-		queueCapacity: s.cfg.QueueDepth,
-		workers:       s.cfg.Workers,
-		inflight:      inflight,
-		cacheEntries:  cacheEntries,
-		uptime:        time.Since(s.start),
-		version:       s.cfg.Version,
-		goVersion:     obs.GoVersion(),
-		spanTraces:    s.spans.Traces(),
-		flightRecords: s.flight.Recorded(),
-	}
-	if s.ck != nil {
-		g.ckptEnabled = true
-		g.ckptHits = s.ck.Hits()
-		g.ckptMisses = s.ck.Misses()
-		g.ckptBytes = s.ck.Bytes()
-	}
-	g.traceBytes, g.traceStored = s.traces.usage()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.m.render(w, g)
+	s.m.reg.Write(w)
 }

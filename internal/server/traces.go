@@ -298,8 +298,8 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 		writeStoreError(w, err)
 		return
 	}
-	s.m.traceUploads.Add(1)
-	s.m.traceUploadBytes.Add(info.Bytes)
+	s.m.traceUploads.Inc()
+	s.m.traceUploadBytes.Add(uint64(info.Bytes))
 	WriteJSON(w, http.StatusCreated, info)
 }
 
@@ -334,8 +334,8 @@ func (s *Server) handleTraceUploadCommit(w http.ResponseWriter, r *http.Request)
 		writeStoreError(w, err)
 		return
 	}
-	s.m.traceUploads.Add(1)
-	s.m.traceUploadBytes.Add(info.Bytes)
+	s.m.traceUploads.Inc()
+	s.m.traceUploadBytes.Add(uint64(info.Bytes))
 	WriteJSON(w, http.StatusCreated, info)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"prestores/internal/cache"
 	"prestores/internal/coherence"
@@ -13,21 +12,6 @@ import (
 	"prestores/internal/memspace"
 	"prestores/internal/units"
 )
-
-// retiredOps counts simulated operations (retired instructions) across
-// every machine in the process. The bench harness samples it around an
-// experiment to compute host-side simulation throughput (simulated
-// ops per wall-clock second). Cores count locally and machines flush
-// in bulk at Drain/ResetStats, so the hot path never touches the
-// atomic.
-var retiredOps atomic.Uint64
-
-// RetiredOps returns the process-wide count of simulated operations
-// flushed so far. Deltas around an experiment measure simulator
-// throughput; with concurrent experiments the deltas attribute each
-// other's ops, so per-experiment numbers are exact only when runs do
-// not overlap.
-func RetiredOps() uint64 { return retiredOps.Load() }
 
 // Machine is a complete simulated system: cores, caches, directory,
 // write-back queue, devices, and the byte-addressable backing store.
@@ -45,8 +29,8 @@ type Machine struct {
 	hook    Hook
 	memHook MemHook
 
-	opsFlushed uint64      // portion of core instr counters already in retiredOps
-	opsSink    *OpsCounter // per-run counter receiving the same flushes, or nil
+	opsFlushed uint64      // portion of core instr counters already flushed
+	opsSink    *OpsCounter // per-run counter receiving the flushes, or nil
 }
 
 // NewMachine builds a machine from cfg. It panics on malformed
@@ -240,18 +224,18 @@ func (m *Machine) Drain() {
 	m.FlushOps()
 }
 
-// FlushOps publishes the cores' retired-op counts into the process-wide
-// throughput counter and the attached per-run counter. Drain and
-// ResetStats call it at natural synchronization points so the per-op
-// path stays atomic-free; a harness calls it once a run is over so the
-// ops retired after the last drain are counted too.
+// FlushOps publishes the cores' retired-op counts into the attached
+// per-run counter (see AttachOps); ops retired while no counter is
+// attached are not counted anywhere. Drain and ResetStats call it at
+// natural synchronization points so the per-op path stays atomic-free;
+// a harness calls it once a run is over so the ops retired after the
+// last drain are counted too.
 func (m *Machine) FlushOps() {
 	var total uint64
 	for _, c := range m.cores {
 		total += c.instr
 	}
 	if d := total - m.opsFlushed; d > 0 {
-		retiredOps.Add(d)
 		if m.opsSink != nil {
 			m.opsSink.add(d)
 		}

@@ -6,10 +6,9 @@ import (
 )
 
 // OpsCounter accumulates retired simulated operations for one
-// experiment run. Unlike the process-wide RetiredOps counter, which
-// concurrent experiments inflate for each other, an OpsCounter receives
-// flushes only from the machines explicitly attached to it, so
-// per-experiment throughput numbers stay exact under any parallelism.
+// experiment run. It receives flushes only from the machines
+// explicitly attached to it, so per-run counts stay exact under any
+// parallelism: concurrent runs never inflate each other's numbers.
 //
 // Machines flush in bulk at Drain/ResetStats, so the per-op simulator
 // path never touches the counter; the atomic only makes the final read
@@ -39,8 +38,8 @@ func OpsSinkFrom(ctx context.Context) *OpsCounter {
 	return c
 }
 
-// SetOpsSink directs the machine's future retired-op flushes into c as
-// well as the process-wide counter (nil detaches).
+// SetOpsSink directs the machine's future retired-op flushes into c
+// (nil detaches).
 func (m *Machine) SetOpsSink(c *OpsCounter) { m.opsSink = c }
 
 // AttachOps connects the machine to the context's ops counter, if one

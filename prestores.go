@@ -197,5 +197,7 @@ func RunExperiment(ctx context.Context, w io.Writer, id string, quick bool) (Exp
 	if !ok {
 		return ExperimentResult{}, fmt.Errorf("prestores: unknown experiment %q", id)
 	}
-	return bench.RunOneGuarded(ctx, w, e, bench.RunnerConfig{Quick: quick})
+	return bench.RunGuarded(ctx, w, e.ID, e.Title, 0, func(ctx context.Context, w io.Writer) error {
+		return bench.RunOne(ctx, w, e, quick)
+	})
 }
