@@ -4,7 +4,7 @@
 //
 // Recording streams chunks to disk as the workload runs (v2 chunked
 // format), so peak memory stays flat no matter how long the trace is;
-// analysis streams the chunks back in two bounded-memory passes.
+// every analysis streams the chunks back with bounded memory.
 // Recordings can also be shipped to a prestored daemon (or cluster
 // coordinator) for remote sharded analysis.
 //
@@ -66,53 +66,38 @@ func main() {
 		}
 	case *record != "" && *workload != "":
 		doRecord(*record, *workload, *quick, *chunk)
-	case *analyze != "" && *report:
-		tb := loadTrace(*analyze)
-		fmt.Printf("%-32s %10s %8s %8s %8s\n", "function", "cycles", "time%", "store%", "ops")
-		for _, ft := range tb.TimeByFunction() {
-			if ft.Fn == "" {
-				ft.Fn = "(untagged)"
-			}
-			storePct := 0.0
-			if ft.Cycles > 0 {
-				storePct = 100 * float64(ft.StoreCyc) / float64(ft.Cycles)
-			}
-			fmt.Printf("%-32s %10d %7.1f%% %7.1f%% %8d\n",
-				ft.Fn, ft.Cycles, ft.TimeShare*100, storePct, ft.Ops)
-		}
-	case *analyze != "" && *pmCheck:
-		tb := loadTrace(*analyze)
-		res := pmcheck.Check(tb, pmcheck.Config{
-			Base: *pmBase, Size: *pmSize, LineSize: *lineSize,
-		})
-		fmt.Printf("pmcheck: %d line-stores checked, %d commits, %d violations\n",
-			res.StoresChecked, res.Commits, len(res.Violations))
-		for _, v := range res.Violations {
-			fmt.Println("  ", v)
-		}
-		if !res.Ok() {
-			os.Exit(1)
-		}
 	case *analyze != "":
-		// The DirtBuster path streams chunks in two bounded-memory
-		// passes instead of decoding the whole trace.
-		open := func() (dirtbuster.ChunkIter, error) {
-			f, err := os.Open(*analyze)
-			if err != nil {
-				return nil, err
-			}
-			cr, err := trace.NewChunkReader(f)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			return &closingIter{cr: cr, f: f}, nil
-		}
-		rep, err := dirtbuster.AnalyzeChunkSource(*name, open, *lineSize, dirtbuster.Config{})
+		// Every analysis streams the recording's chunks: the
+		// DirtBuster report in two bounded-memory passes, the time
+		// profile and the persistence check in one.
+		f, err := os.Open(*analyze)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(rep.Render())
+		defer f.Close()
+		switch {
+		case *report:
+			fts, err := trace.TimeByFunction(f)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Print(fts.Render())
+		case *pmCheck:
+			res, err := pmcheck.Check(f, pmcheck.Config{Base: *pmBase, Size: *pmSize, LineSize: *lineSize})
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Print(res.Render())
+			if !res.Ok() {
+				os.Exit(1)
+			}
+		default:
+			rep, err := dirtbuster.AnalyzeChunkSource(*name, dirtbuster.SeekSource(f), *lineSize, dirtbuster.Config{})
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Println(rep.Render())
+		}
 	case *upload != "" && *serverURL != "":
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
@@ -154,35 +139,6 @@ func doRecord(path, workload string, quick bool, chunkRecords int) {
 	}
 	fmt.Fprintf(os.Stderr, "unknown workload %q; try -list\n", workload)
 	os.Exit(2)
-}
-
-// loadTrace fully decodes a recording (v1 or v2) for the analyses that
-// need the whole buffer in memory (-report, -pmcheck).
-func loadTrace(path string) *trace.Buffer {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	tb, err := trace.Decode(f)
-	if err != nil {
-		fatal(err)
-	}
-	return tb
-}
-
-// closingIter closes the underlying file when the chunk stream ends.
-type closingIter struct {
-	cr *trace.ChunkReader
-	f  *os.File
-}
-
-func (it *closingIter) Next() (*trace.Chunk, error) {
-	c, err := it.cr.Next()
-	if err != nil {
-		it.f.Close()
-	}
-	return c, err
 }
 
 const uploadPart = 4 << 20

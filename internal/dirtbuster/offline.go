@@ -13,8 +13,9 @@ import (
 // Step 1's ranking is derived from the same trace (a full recording
 // subsumes sampling); steps 2 and 3 replay the records through the
 // identical analysis the live pipeline uses. This is the in-memory
-// convenience over the chunked Stats/Plan/Partial pipeline — both
-// produce byte-identical reports.
+// form of the chunked Stats/Plan/Partial pipeline (AnalyzeChunkSource)
+// — both produce byte-identical reports, which makes it the oracle
+// the chunked path is checked against.
 func AnalyzeTrace(app string, tb *trace.Buffer, lineSize uint64, cfg Config) *Report {
 	stats := NewStats()
 	tb.Replay(stats.AddRecord)
@@ -24,18 +25,6 @@ func AnalyzeTrace(app string, tb *trace.Buffer, lineSize uint64, cfg Config) *Re
 		tb.Replay(a.feed)
 	}
 	return a.Report()
-}
-
-// Record runs the workload once with full tracing and returns the
-// recorded buffer plus the machine's line size (needed to analyze the
-// trace later).
-func Record(w Workload) (*trace.Buffer, uint64) {
-	tb := trace.NewBuffer()
-	m := w.NewMachine()
-	m.SetHook(tb.Hook())
-	w.Run(m)
-	m.SetHook(nil)
-	return tb, m.LineSize()
 }
 
 // RecordStream runs the workload once streaming every operation into

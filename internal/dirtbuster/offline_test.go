@@ -9,6 +9,32 @@ import (
 	"prestores/internal/trace"
 )
 
+// record runs w once through RecordStream into a trace.Writer with the
+// given chunk target (0 for the default) and returns the encoding and
+// the machine's line size.
+func record(t testing.TB, w Workload, chunkRecords int) ([]byte, uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf, trace.WriterOptions{ChunkRecords: chunkRecords})
+	line := RecordStream(w, tw.Hook())
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), line
+}
+
+// recordBuffer records w and decodes the whole recording: the input of
+// the monolithic AnalyzeTrace.
+func recordBuffer(t testing.TB, w Workload) (*trace.Buffer, uint64) {
+	t.Helper()
+	data, line := record(t, w, 0)
+	tb, err := trace.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb, line
+}
+
 func streamWorkload() Workload {
 	return wl("stream", func(c *sim.Core) {
 		c.PushFunc("stream.write")
@@ -23,7 +49,7 @@ func streamWorkload() Workload {
 func TestOfflineMatchesLive(t *testing.T) {
 	w := streamWorkload()
 	live := Analyze(w, Config{})
-	tb, line := Record(w)
+	tb, line := recordBuffer(t, w)
 	offline := AnalyzeTrace("stream", tb, line, Config{})
 
 	if live.WriteIntensive != offline.WriteIntensive {
@@ -42,13 +68,8 @@ func TestOfflineMatchesLive(t *testing.T) {
 }
 
 func TestOfflineThroughEncodeDecode(t *testing.T) {
-	w := streamWorkload()
-	tb, line := Record(w)
-	var buf bytes.Buffer
-	if err := tb.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := trace.Decode(&buf)
+	data, line := record(t, streamWorkload(), 0)
+	decoded, err := trace.Decode(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +92,7 @@ func TestOfflineNotWriteIntensive(t *testing.T) {
 		}
 		c.PopFunc()
 	})
-	tb, line := Record(w)
+	tb, line := recordBuffer(t, w)
 	rep := AnalyzeTrace("reader", tb, line, Config{})
 	if rep.WriteIntensive {
 		t.Fatalf("read-mostly trace classified write-intensive (%.2f)", rep.StoreShare)
@@ -79,7 +100,7 @@ func TestOfflineNotWriteIntensive(t *testing.T) {
 }
 
 func TestRecordProducesOps(t *testing.T) {
-	tb, line := Record(streamWorkload())
+	tb, line := recordBuffer(t, streamWorkload())
 	if tb.Len() == 0 {
 		t.Fatal("empty recording")
 	}

@@ -435,6 +435,17 @@ type ChunkIter interface {
 // two-pass pipeline calls it twice.
 type ChunkSource func() (ChunkIter, error)
 
+// SeekSource is the ChunkSource of a seekable trace, such as an open
+// file: every pass rewinds it to the start.
+func SeekSource(rs io.ReadSeeker) ChunkSource {
+	return func() (ChunkIter, error) {
+		if _, err := rs.Seek(0, io.SeekStart); err != nil {
+			return nil, err
+		}
+		return trace.NewChunkReader(rs)
+	}
+}
+
 // AnalyzeChunkSource is the streaming, bounded-memory equivalent of
 // AnalyzeTrace: two passes over the chunks, never holding more than
 // one chunk in memory.

@@ -63,7 +63,7 @@ func richWorkload() Workload {
 	}
 }
 
-// handChunks splits a buffer into chunks of the given record counts
+// handChunks splits a decoded recording into chunks of the given record counts
 // (zeros produce empty chunks), re-interning names per chunk.
 func handChunks(t *testing.T, tb *trace.Buffer, sizes []int) []*trace.Chunk {
 	t.Helper()
@@ -101,14 +101,12 @@ func handChunks(t *testing.T, tb *trace.Buffer, sizes []int) []*trace.Chunk {
 	return chunks
 }
 
-// codecChunks splits a buffer by running it through the v2 codec.
-func codecChunks(t testing.TB, tb *trace.Buffer, chunkRecords int) []*trace.Chunk {
+// codecChunks records w in chunks of chunkRecords and reads the chunks
+// back.
+func codecChunks(t testing.TB, w Workload, chunkRecords int) []*trace.Chunk {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := tb.EncodeChunked(&buf, chunkRecords); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := trace.NewChunkReader(bytes.NewReader(buf.Bytes()))
+	data, _ := record(t, w, chunkRecords)
+	cr, err := trace.NewChunkReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +204,7 @@ func mustMatch(t *testing.T, got, want *Report, label string) {
 // AnalyzeTrace at every chunk size, with shuffled merge orders,
 // 1-record chunks and empty chunks.
 func TestChunkedAgreesWithMonolithic(t *testing.T) {
-	tb, line := Record(richWorkload())
+	tb, line := recordBuffer(t, richWorkload())
 	cfg := Config{}
 	want := AnalyzeTrace("rich", tb, line, cfg)
 	if !want.WriteIntensive {
@@ -215,7 +213,7 @@ func TestChunkedAgreesWithMonolithic(t *testing.T) {
 
 	for _, size := range []int{1, 7, 64, 1 << 20} {
 		rnd := rand.New(rand.NewSource(int64(size)))
-		chunks := codecChunks(t, tb, size)
+		chunks := codecChunks(t, richWorkload(), size)
 		got := runChunked(t, "rich", chunks, line, cfg, rnd, size == 7)
 		mustMatch(t, got, want, "codec chunks")
 	}
@@ -230,50 +228,44 @@ func TestChunkedAgreesWithMonolithic(t *testing.T) {
 
 // TestChunkedAgreesNotWriteIntensive covers the step-1 early exit.
 func TestChunkedAgreesNotWriteIntensive(t *testing.T) {
-	tb, line := Record(wl("readonly", func(c *sim.Core) {
+	readonly := wl("readonly", func(c *sim.Core) {
 		buf := make([]byte, 256)
 		c.PushFunc("reader")
 		for i := uint64(0); i < 2000; i++ {
 			c.Read(base+i*256, buf)
 		}
 		c.PopFunc()
-	}))
+	})
+	tb, line := recordBuffer(t, readonly)
 	cfg := Config{}
 	want := AnalyzeTrace("readonly", tb, line, cfg)
 	if want.WriteIntensive {
 		t.Fatal("readonly workload classified write-intensive")
 	}
 	rnd := rand.New(rand.NewSource(7))
-	got := runChunked(t, "readonly", codecChunks(t, tb, 100), line, cfg, rnd, false)
+	got := runChunked(t, "readonly", codecChunks(t, readonly, 100), line, cfg, rnd, false)
 	mustMatch(t, got, want, "not write-intensive")
 }
 
 // TestChunkedAgreesThroughStreaming checks the one-shot streaming
 // helper against the monolithic path.
 func TestChunkedAgreesThroughStreaming(t *testing.T) {
-	tb, line := Record(richWorkload())
-	var buf bytes.Buffer
-	if err := tb.EncodeChunked(&buf, 97); err != nil {
-		t.Fatal(err)
-	}
-	open := func() (ChunkIter, error) {
-		return trace.NewChunkReader(bytes.NewReader(buf.Bytes()))
-	}
-	got, err := AnalyzeChunkSource("rich", open, line, Config{})
+	data, line := record(t, richWorkload(), 97)
+	got, err := AnalyzeChunkSource("rich", SeekSource(bytes.NewReader(data)), line, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb, _ := recordBuffer(t, richWorkload())
 	mustMatch(t, got, AnalyzeTrace("rich", tb, line, Config{}), "streaming source")
 }
 
 func TestPartialMergeRejectsOverlap(t *testing.T) {
-	tb, line := Record(richWorkload())
-	chunks := codecChunks(t, tb, 100)
+	chunks := codecChunks(t, richWorkload(), 100)
 	stats := NewStats()
 	for _, c := range chunks {
 		stats.AddChunk(c)
 	}
-	plan := stats.Plan("rich", line, Config{})
+	plan := stats.Plan("rich", 64, Config{})
 	a := plan.AnalyzeChunk(chunks[0])
 	b := plan.AnalyzeChunk(chunks[0])
 	if err := a.Merge(b); err == nil {
@@ -282,8 +274,7 @@ func TestPartialMergeRejectsOverlap(t *testing.T) {
 }
 
 func TestAnalysisRejectsGap(t *testing.T) {
-	tb, line := Record(richWorkload())
-	chunks := codecChunks(t, tb, 100)
+	chunks := codecChunks(t, richWorkload(), 100)
 	if len(chunks) < 3 {
 		t.Fatalf("only %d chunks", len(chunks))
 	}
@@ -291,7 +282,7 @@ func TestAnalysisRejectsGap(t *testing.T) {
 	for _, c := range chunks {
 		stats.AddChunk(c)
 	}
-	plan := stats.Plan("rich", line, Config{})
+	plan := stats.Plan("rich", 64, Config{})
 	pt := plan.AnalyzeChunk(chunks[0])
 	if err := pt.Merge(plan.AnalyzeChunk(chunks[2])); err != nil {
 		t.Fatal(err)
@@ -309,13 +300,12 @@ func TestAnalysisRejectsGap(t *testing.T) {
 // must return an error or a partial whose encode/decode is stable,
 // never panic.
 func FuzzDecodePartial(f *testing.F) {
-	tb, line := Record(richWorkload())
-	chunks := codecChunks(f, tb, 200)
+	chunks := codecChunks(f, richWorkload(), 200)
 	stats := NewStats()
 	for _, c := range chunks {
 		stats.AddChunk(c)
 	}
-	plan := stats.Plan("rich", line, Config{})
+	plan := stats.Plan("rich", 64, Config{})
 	seed := plan.AnalyzeChunk(chunks[0])
 	var buf bytes.Buffer
 	if err := seed.Encode(&buf); err != nil {

@@ -18,7 +18,9 @@ package pmcheck
 
 import (
 	"fmt"
+	"io"
 	"sort"
+	"strings"
 
 	"prestores/internal/sim"
 	"prestores/internal/trace"
@@ -76,8 +78,21 @@ type Result struct {
 // Ok reports whether no violations were found.
 func (r Result) Ok() bool { return len(r.Violations) == 0 }
 
-// Check replays the trace and reports unpersisted-at-commit lines.
-func Check(tb *trace.Buffer, cfg Config) Result {
+// Render formats the result: a summary line, then one line per
+// violation.
+func (r Result) Render() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "pmcheck: %d line-stores checked, %d commits, %d violations\n",
+		r.StoresChecked, r.Commits, len(r.Violations))
+	for _, v := range r.Violations {
+		fmt.Fprintln(&sb, "  ", v)
+	}
+	return sb.String()
+}
+
+// Check streams the trace in src chunk by chunk and reports
+// unpersisted-at-commit lines.
+func Check(src io.Reader, cfg Config) (Result, error) {
 	if cfg.LineSize == 0 {
 		cfg.LineSize = 64
 	}
@@ -98,7 +113,7 @@ func Check(tb *trace.Buffer, cfg Config) Result {
 	lines := map[uint64]*lineInfo{}
 	var res Result
 
-	tb.Replay(func(r trace.Record, fn string) {
+	add := func(r trace.Record, fn string) {
 		switch r.Kind {
 		case sim.OpStore:
 			for l := units.AlignDown(r.Addr, cfg.LineSize); l < r.Addr+r.Size; l += cfg.LineSize {
@@ -175,6 +190,12 @@ func Check(tb *trace.Buffer, cfg Config) Result {
 				delete(lines, l)
 			}
 		}
+	}
+	err := trace.EachChunk(src, func(c *trace.Chunk) error {
+		for _, r := range c.Records {
+			add(r, c.Funcs[r.Fn])
+		}
+		return nil
 	})
-	return res
+	return res, err
 }

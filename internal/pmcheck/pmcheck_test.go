@@ -1,27 +1,46 @@
 package pmcheck
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"prestores/internal/dirtbuster"
 	"prestores/internal/sim"
 	"prestores/internal/trace"
 )
 
 const pmBase = uint64(1) << 40
 
-// record traces fn's operations on a fresh machine A.
-func record(fn func(c *sim.Core)) *trace.Buffer {
-	tb := trace.NewBuffer()
-	m := sim.MachineA()
-	m.SetHook(tb.Hook())
-	fn(m.Core(0))
-	m.SetHook(nil)
-	return tb
+// record traces fn's operations on a fresh machine A through
+// dirtbuster.RecordStream into a trace.Writer.
+func record(t *testing.T, fn func(c *sim.Core)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf, trace.WriterOptions{ChunkRecords: 8})
+	dirtbuster.RecordStream(dirtbuster.Workload{
+		Name:       "pmcheck",
+		NewMachine: sim.MachineA,
+		Run:        func(m *sim.Machine) { fn(m.Core(0)) },
+	}, tw.Hook())
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// check runs the checker over a recording.
+func check(t *testing.T, data []byte, cfg Config) Result {
+	t.Helper()
+	res, err := Check(bytes.NewReader(data), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestCorrectProtocolPasses(t *testing.T) {
-	tb := record(func(c *sim.Core) {
+	tb := record(t, func(c *sim.Core) {
 		c.PushFunc("txn")
 		for i := uint64(0); i < 50; i++ {
 			addr := pmBase + i*256
@@ -32,7 +51,7 @@ func TestCorrectProtocolPasses(t *testing.T) {
 		c.CAS(pmBase+1<<20, 0, 1) // commit
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if !res.Ok() {
 		t.Fatalf("correct protocol flagged: %v", res.Violations)
 	}
@@ -42,14 +61,14 @@ func TestCorrectProtocolPasses(t *testing.T) {
 }
 
 func TestMissingCleanFlagged(t *testing.T) {
-	tb := record(func(c *sim.Core) {
+	tb := record(t, func(c *sim.Core) {
 		c.PushFunc("txn")
 		c.Write(pmBase, make([]byte, 128))
 		// Forgot the clean.
 		c.CAS(pmBase+1<<20, 0, 1)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if res.Ok() {
 		t.Fatal("missing clean not flagged")
 	}
@@ -62,6 +81,12 @@ func TestMissingCleanFlagged(t *testing.T) {
 	if !strings.Contains(res.Violations[0].String(), "txn") {
 		t.Fatal("render missing function")
 	}
+	want := "pmcheck: 2 line-stores checked, 1 commits, 2 violations\n" +
+		"   " + res.Violations[0].String() + "\n" +
+		"   " + res.Violations[1].String() + "\n"
+	if got := res.Render(); got != want {
+		t.Fatalf("rendered result:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestCleanWithoutFenceFlagged(t *testing.T) {
@@ -70,48 +95,48 @@ func TestCleanWithoutFenceFlagged(t *testing.T) {
 	// sfence bug... except the atomic *is* a fence, so the clean
 	// retires at the commit. The genuinely buggy order is clean AFTER
 	// the commit.
-	tb := record(func(c *sim.Core) {
+	tb := record(t, func(c *sim.Core) {
 		c.PushFunc("txn")
 		c.Write(pmBase, make([]byte, 64))
 		c.CAS(pmBase+1<<20, 0, 1) // commit before the clean
 		c.Prestore(pmBase, 64, sim.Clean)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if res.Ok() {
 		t.Fatal("late clean not flagged")
 	}
 }
 
 func TestNTStoreNeedsOnlyFence(t *testing.T) {
-	tb := record(func(c *sim.Core) {
+	tb := record(t, func(c *sim.Core) {
 		c.PushFunc("txn")
 		c.WriteNT(pmBase, make([]byte, 256))
 		c.Fence()
 		c.CAS(pmBase+1<<20, 0, 1)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if !res.Ok() {
 		t.Fatalf("NT + fence flagged: %v", res.Violations)
 	}
 }
 
 func TestRangeRestriction(t *testing.T) {
-	tb := record(func(c *sim.Core) {
+	tb := record(t, func(c *sim.Core) {
 		c.PushFunc("txn")
 		c.Write(100, make([]byte, 64)) // DRAM scratch: not checked
 		c.CAS(pmBase+1<<20, 0, 1)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64})
 	if !res.Ok() {
 		t.Fatalf("out-of-range store flagged: %v", res.Violations)
 	}
 }
 
 func TestCommitFnFilter(t *testing.T) {
-	tb := record(func(c *sim.Core) {
+	tb := record(t, func(c *sim.Core) {
 		c.PushFunc("worker")
 		c.Write(pmBase, make([]byte, 64))
 		c.Fence() // ordinary fence, not a commit under CommitFn
@@ -120,7 +145,7 @@ func TestCommitFnFilter(t *testing.T) {
 		c.Fence()
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64, CommitFn: "log.commit"})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64, CommitFn: "log.commit"})
 	if res.Ok() {
 		t.Fatal("uncleaned store survived a named commit")
 	}
@@ -130,7 +155,7 @@ func TestCommitFnFilter(t *testing.T) {
 }
 
 func TestViolationCap(t *testing.T) {
-	tb := record(func(c *sim.Core) {
+	tb := record(t, func(c *sim.Core) {
 		c.PushFunc("txn")
 		for i := uint64(0); i < 100; i++ {
 			c.Write(pmBase+i*64, make([]byte, 64))
@@ -138,7 +163,7 @@ func TestViolationCap(t *testing.T) {
 		c.CAS(pmBase+1<<20, 0, 1)
 		c.PopFunc()
 	})
-	res := Check(tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64, MaxViolations: 5})
+	res := check(t, tb, Config{Base: pmBase, Size: 1 << 30, LineSize: 64, MaxViolations: 5})
 	if len(res.Violations) != 5 {
 		t.Fatalf("cap not applied: %d", len(res.Violations))
 	}

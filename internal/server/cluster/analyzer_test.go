@@ -38,6 +38,24 @@ func analysisWorkload() dirtbuster.Workload {
 	}
 }
 
+// recordTrace records the analysis workload through RecordStream into
+// a trace.Writer with the given chunk target and returns the encoding,
+// its decoded buffer and the machine line size.
+func recordTrace(t *testing.T, chunkRecords int) ([]byte, *trace.Buffer, uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf, trace.WriterOptions{ChunkRecords: chunkRecords})
+	line := dirtbuster.RecordStream(analysisWorkload(), tw.Hook())
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := trace.Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), tb, line
+}
+
 // uploadTrace stores an encoded trace through the coordinator's
 // embedded host and returns its address.
 func uploadTrace(t *testing.T, base string, data []byte) string {
@@ -83,12 +101,8 @@ func runClusterAnalysis(t *testing.T, base, addr, app string) string {
 func TestClusterAnalysisByteIdentical(t *testing.T) {
 	_, cts, _ := newCluster(t, 2)
 
-	tb, line := dirtbuster.Record(analysisWorkload())
-	var buf bytes.Buffer
-	if err := tb.EncodeChunked(&buf, 16); err != nil {
-		t.Fatal(err)
-	}
-	addr := uploadTrace(t, cts.URL, buf.Bytes())
+	data, tb, line := recordTrace(t, 16)
+	addr := uploadTrace(t, cts.URL, data)
 
 	want := dirtbuster.AnalyzeTrace("clusterwl", tb, line, dirtbuster.Config{}).Render() + "\n"
 	if got := runClusterAnalysis(t, cts.URL, addr, "clusterwl"); got != want {
@@ -115,12 +129,8 @@ func TestClusterAnalysisByteIdentical(t *testing.T) {
 func TestClusterAnalysisSurvivesShardDeath(t *testing.T) {
 	_, cts, shards := newCluster(t, 2)
 
-	tb, line := dirtbuster.Record(analysisWorkload())
-	var buf bytes.Buffer
-	if err := tb.EncodeChunked(&buf, 8); err != nil {
-		t.Fatal(err)
-	}
-	addr := uploadTrace(t, cts.URL, buf.Bytes())
+	data, tb, line := recordTrace(t, 8)
+	addr := uploadTrace(t, cts.URL, data)
 
 	// Shard 1 dies on its third chunk request: the request aborts
 	// mid-connection and every later call is refused, exactly like a
@@ -160,12 +170,8 @@ func TestClusterAnalysisSurvivesShardDeath(t *testing.T) {
 // hash identically (cache/routing stability) and different chunks must
 // not collide on the tiny test set.
 func TestChunkAddressStable(t *testing.T) {
-	tb, _ := dirtbuster.Record(analysisWorkload())
-	var buf bytes.Buffer
-	if err := tb.EncodeChunked(&buf, 64); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := trace.NewChunkReader(bytes.NewReader(buf.Bytes()))
+	data, _, _ := recordTrace(t, 64)
+	cr, err := trace.NewChunkReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

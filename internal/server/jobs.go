@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 
 	"prestores/internal/bench"
 	"prestores/internal/dirtbuster"
 	"prestores/internal/pmcheck"
 	"prestores/internal/sim"
+	"prestores/internal/trace"
 )
 
 // experimentSpec is the POST /v1/experiments body. Its JSON encoding
@@ -56,19 +58,22 @@ type traceSpec struct {
 	PMSize   uint64 `json:"pm_size,omitempty"`
 }
 
-// normalize fills the defaults: the DirtBuster mode, and for pmcheck
-// prestore-trace's persistent range.
+// normalize rejects an unknown mode and fills the defaults: the
+// DirtBuster mode, and for pmcheck prestore-trace's persistent range.
 func (sp *traceSpec) normalize() error {
-	if sp.Mode == "" {
+	switch sp.Mode {
+	case "":
 		sp.Mode = "dirtbuster"
-	}
-	if sp.Mode == "pmcheck" {
+	case "dirtbuster", "report":
+	case "pmcheck":
 		if sp.PMBase == 0 {
 			sp.PMBase = 1 << 40
 		}
 		if sp.PMSize == 0 {
 			sp.PMSize = 256 << 30
 		}
+	default:
+		return fmt.Errorf("unknown trace mode %q (want dirtbuster, report or pmcheck)", sp.Mode)
 	}
 	return nil
 }
@@ -123,42 +128,51 @@ func dirtbusterWork(wl dirtbuster.Workload) work {
 }
 
 // traceWork is a trace-analysis job: record the workload's full
-// operation trace, then analyze the recording offline per spec.Mode.
-// Cancellation is checked between the record and analyze stages.
+// operation trace through a trace.Writer into a job-scoped temporary
+// file, then analyze the recording chunk by chunk per spec.Mode, so
+// memory stays bounded however long the trace is. The file is removed
+// on every exit path. Cancellation is checked between the record and
+// analyze stages.
 func traceWork(wl dirtbuster.Workload, spec traceSpec) work {
 	mode := spec.Mode
 	return work{"trace/" + mode + "/" + wl.Name, "trace analysis (" + mode + ") of " + wl.Name,
 		func(ctx context.Context, _ *job, out io.Writer) error {
-			tb, line := dirtbuster.Record(attachOps(ctx, wl))
+			f, err := os.CreateTemp("", "prestored-trace-*.pst")
+			if err != nil {
+				return err
+			}
+			defer os.Remove(f.Name())
+			defer f.Close()
+			tw := trace.NewWriter(f, trace.WriterOptions{})
+			line := dirtbuster.RecordStream(attachOps(ctx, wl), tw.Hook())
+			if err := tw.Close(); err != nil {
+				return fmt.Errorf("recording the trace: %w", err)
+			}
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("cancelled: %w", err)
 			}
+			if _, err := f.Seek(0, io.SeekStart); err != nil {
+				return err
+			}
 			switch mode {
-			case "dirtbuster":
-				rep := dirtbuster.AnalyzeTrace(wl.Name, tb, line, dirtbuster.Config{})
-				fmt.Fprintln(out, rep.Render())
 			case "report":
-				fmt.Fprintf(out, "%-32s %10s %8s %8s %8s\n", "function", "cycles", "time%", "store%", "ops")
-				for _, ft := range tb.TimeByFunction() {
-					if ft.Fn == "" {
-						ft.Fn = "(untagged)"
-					}
-					storePct := 0.0
-					if ft.Cycles > 0 {
-						storePct = 100 * float64(ft.StoreCyc) / float64(ft.Cycles)
-					}
-					fmt.Fprintf(out, "%-32s %10d %7.1f%% %7.1f%% %8d\n",
-						ft.Fn, ft.Cycles, ft.TimeShare*100, storePct, ft.Ops)
+				fts, err := trace.TimeByFunction(f)
+				if err != nil {
+					return err
 				}
+				io.WriteString(out, fts.Render())
 			case "pmcheck":
-				res := pmcheck.Check(tb, pmcheck.Config{Base: spec.PMBase, Size: spec.PMSize, LineSize: line})
-				fmt.Fprintf(out, "pmcheck: %d line-stores checked, %d commits, %d violations\n",
-					res.StoresChecked, res.Commits, len(res.Violations))
-				for _, v := range res.Violations {
-					fmt.Fprintln(out, "  ", v)
+				res, err := pmcheck.Check(f, pmcheck.Config{Base: spec.PMBase, Size: spec.PMSize, LineSize: line})
+				if err != nil {
+					return err
 				}
-			default:
-				return fmt.Errorf("unknown trace mode %q (want dirtbuster, report or pmcheck)", mode)
+				io.WriteString(out, res.Render())
+			default: // "dirtbuster"; normalize rejected every other mode
+				rep, err := dirtbuster.AnalyzeChunkSource(wl.Name, dirtbuster.SeekSource(f), line, dirtbuster.Config{})
+				if err != nil {
+					return err
+				}
+				fmt.Fprintln(out, rep.Render())
 			}
 			return nil
 		}}

@@ -13,6 +13,7 @@
 //	POST   /v1/experiments        {"id":"fig3","quick":true}    submit an experiment job
 //	POST   /v1/dirtbuster         {"workload":"clht","quick":true}
 //	POST   /v1/trace              {"workload":"clht","mode":"dirtbuster|report|pmcheck"}
+//	                              record through a trace.Writer into a temp file, then analyze its chunks
 //	POST   /v1/scenarios          {"spec":{...},"quick":true}   run a declarative scenario spec
 //	POST   /v1/traces             encoded trace body (binary)   store a recording; ?resume=1 opens a resumable upload
 //	PUT    /v1/traces/uploads/{id}?offset=N                     append one part (409 carries the offset to resume from)

@@ -628,16 +628,13 @@ func TestTraceEndpointModes(t *testing.T) {
 			t.Fatalf("trace mode %q: %+v", mode, st)
 		}
 	}
-	// An unknown mode fails the job, not the daemon.
+	// An unknown mode is a bad request, answered before anything runs.
 	code, data := postJSON(t, ts.URL+"/v1/trace", map[string]any{"workload": "synthwl", "mode": "bogus"})
-	if code != http.StatusAccepted {
+	if code != http.StatusBadRequest || !strings.Contains(string(data), "unknown trace mode") {
 		t.Fatalf("bogus mode submit: status %d: %s", code, data)
 	}
-	var st JobStatus
-	json.Unmarshal(data, &st)
-	st = waitFinal(t, ts.URL, st.ID)
-	if st.State != "failed" || !strings.Contains(st.Error, "unknown trace mode") {
-		t.Fatalf("bogus trace mode job: %+v", st)
+	if _, err := Key("trace", []byte(`{"workload":"synthwl","mode":"bogus"}`)); err == nil {
+		t.Fatal("Key accepted an unknown trace mode")
 	}
 }
 

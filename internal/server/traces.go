@@ -75,24 +75,18 @@ func traceAddress(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// validate walks every chunk of the encoded trace (v1 or v2) so a
-// corrupt upload is rejected at commit time, not at analysis time.
+// validateTrace walks every chunk of the encoded trace so a corrupt
+// upload is rejected at commit time, not at analysis time.
 func validateTrace(data []byte) (chunks int, records uint64, err error) {
-	cr, err := trace.NewChunkReader(bytes.NewReader(data))
+	err = trace.EachChunk(bytes.NewReader(data), func(c *trace.Chunk) error {
+		chunks++
+		records += uint64(len(c.Records))
+		return nil
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	for {
-		c, err := cr.Next()
-		if err == io.EOF {
-			return chunks, records, nil
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		chunks++
-		records += uint64(len(c.Records))
-	}
+	return chunks, records, nil
 }
 
 type storeError struct {

@@ -6,24 +6,43 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"prestores/internal/dirtbuster"
+	"prestores/internal/pmcheck"
+	"prestores/internal/sim"
 	"prestores/internal/trace"
 )
 
-// encodedTrace records the synthetic workload and returns its chunked
-// encoding (small chunks so even the tiny trace spans several), the
+// recordTrace records w through RecordStream into a trace.Writer with
+// the given chunk target and returns the encoding and the machine line
+// size.
+func recordTrace(t *testing.T, w dirtbuster.Workload, chunkRecords int) ([]byte, uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf, trace.WriterOptions{ChunkRecords: chunkRecords})
+	line := dirtbuster.RecordStream(w, tw.Hook())
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), line
+}
+
+// encodedTrace records the synthetic workload in small chunks, so even
+// the tiny trace spans several, and returns the encoding, its decoded
 // buffer and the machine line size.
 func encodedTrace(t *testing.T) ([]byte, *trace.Buffer, uint64) {
 	t.Helper()
-	tb, line := dirtbuster.Record(synthWorkload())
-	var buf bytes.Buffer
-	if err := tb.EncodeChunked(&buf, 64); err != nil {
+	data, line := recordTrace(t, synthWorkload(), 64)
+	tb, err := trace.Decode(bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), tb, line
+	return data, tb, line
 }
 
 func postTrace(t *testing.T, base string, data []byte) (int, []byte) {
@@ -367,5 +386,164 @@ func TestAnalyzeChunkEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated request: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// commitWorkload stores to the persistent window, cleans and fences
+// half of the lines and then commits with an atomic, so every
+// /v1/trace mode has something to report, pmcheck violations included.
+func commitWorkload() dirtbuster.Workload {
+	return dirtbuster.Workload{
+		Name:       "commitwl",
+		NewMachine: sim.MachineA,
+		Run: func(m *sim.Machine) {
+			c := m.Core(0)
+			buf := make([]byte, 256)
+			c.PushFunc("commitwl.write")
+			for i := uint64(0); i < 200; i++ {
+				c.Write(1<<40+i*256, buf)
+				if i%2 == 0 {
+					c.Prestore(1<<40+i*256, 256, sim.Clean)
+				}
+			}
+			c.Fence()
+			c.PopFunc()
+			c.PushFunc("commitwl.commit")
+			c.CAS(1<<40+1<<30, 0, 1)
+			c.PopFunc()
+		},
+	}
+}
+
+// TestTraceModesMatchRecordingChain checks each /v1/trace mode against
+// the same analysis run over a RecordStream → trace.Writer →
+// ChunkReader chain in memory.
+func TestTraceModesMatchRecordingChain(t *testing.T) {
+	wl := commitWorkload()
+	_, ts := newTestServer(t, Config{
+		Workers:   1,
+		Workloads: func(bool) []dirtbuster.Workload { return []dirtbuster.Workload{wl} },
+	})
+	data, line := recordTrace(t, wl, 0)
+	rep, err := dirtbuster.AnalyzeChunkSource(wl.Name, dirtbuster.SeekSource(bytes.NewReader(data)), line, dirtbuster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fts, err := trace.TimeByFunction(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pmcheck.Check(bytes.NewReader(data), pmcheck.Config{Base: 1 << 40, Size: 256 << 30, LineSize: line})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ok() || !rep.WriteIntensive {
+		t.Fatalf("test workload too tame: pmcheck ok %v, write-intensive %v", res.Ok(), rep.WriteIntensive)
+	}
+	for mode, want := range map[string]string{
+		"dirtbuster": rep.Render() + "\n",
+		"report":     fts.Render(),
+		"pmcheck":    res.Render(),
+	} {
+		code, body := postJSON(t, ts.URL+"/v1/trace", map[string]any{"workload": wl.Name, "mode": mode})
+		if code != http.StatusAccepted {
+			t.Fatalf("trace mode %q: status %d: %s", mode, code, body)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		st = waitFinal(t, ts.URL, st.ID)
+		if st.State != "done" || st.Result.Output != want {
+			t.Fatalf("trace mode %q: state %s, output differs from the recording chain\n--- got ---\n%s\n--- want ---\n%s",
+				mode, st.State, st.Result.Output, want)
+		}
+	}
+}
+
+// TestTraceJobRemovesRecording checks that a /v1/trace job's temporary
+// recording is gone after the job, both when it finishes and when it is
+// cancelled mid-recording.
+func TestTraceJobRemovesRecording(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir) // os.CreateTemp("") creates the recording here
+	started, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	blocking := dirtbuster.Workload{
+		Name:       "blockwl",
+		NewMachine: sim.MachineA,
+		Run: func(m *sim.Machine) {
+			c := m.Core(0)
+			c.PushFunc("blockwl.write")
+			for i := uint64(0); i < 100; i++ {
+				c.Write(1<<40+i*64, make([]byte, 64))
+			}
+			close(started)
+			<-release
+			c.Write(1<<40, make([]byte, 64))
+			c.PopFunc()
+		},
+	}
+	_, ts := newTestServer(t, Config{
+		Workers: 1,
+		Workloads: func(bool) []dirtbuster.Workload {
+			return []dirtbuster.Workload{synthWorkload(), blocking}
+		},
+	})
+	t.Cleanup(unblock) // a failed check must not leave the worker blocked at shutdown
+	leftovers := func() []string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	run := func(workload string) JobStatus {
+		t.Helper()
+		code, body := postJSON(t, ts.URL+"/v1/trace", map[string]any{"workload": workload, "mode": "report"})
+		if code != http.StatusAccepted {
+			t.Fatalf("trace %s: status %d: %s", workload, code, body)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	if st := waitFinal(t, ts.URL, run("synthwl").ID); st.State != "done" {
+		t.Fatalf("trace job %s: %s", st.State, st.Error)
+	}
+	if left := leftovers(); len(left) != 0 {
+		t.Fatalf("finished trace job left %v behind", left)
+	}
+
+	st := run("blockwl")
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("recording never started")
+	}
+	if left := leftovers(); len(left) != 1 {
+		t.Fatalf("mid-recording, the temp dir holds %v, want the one recording", left)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	unblock()
+	if st = waitFinal(t, ts.URL, st.ID); st.State != "cancelled" {
+		t.Fatalf("deleted trace job ended %s: %s", st.State, st.Error)
+	}
+	if left := leftovers(); len(left) != 0 {
+		t.Fatalf("cancelled trace job left %v behind", left)
 	}
 }

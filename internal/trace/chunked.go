@@ -1,10 +1,8 @@
-// Chunked (v2) trace format: the streaming counterpart to the v1
-// whole-buffer codec. A v2 file is a sequence of fixed-target record
-// chunks, each carrying its own header (record count, core set, delta
-// of newly interned function names) so a reader never needs more than
-// one chunk in memory, followed by a trailing index that lets seekable
-// consumers jump straight to a chunk. The record wire format is shared
-// with v1.
+// Chunked (v2) trace format. A file is a sequence of fixed-target
+// record chunks, each carrying its own header (record count, core set,
+// delta of newly interned function names) so a reader never needs more
+// than one chunk in memory, followed by a trailing index of the chunks
+// that the reader cross-checks against what it read.
 //
 // Layout (all little-endian):
 //
@@ -41,7 +39,7 @@ const (
 )
 
 // DefaultChunkRecords is the records-per-chunk target used when a
-// Writer or a v1 synthesizing ChunkReader is not told otherwise.
+// Writer is not told otherwise.
 const DefaultChunkRecords = 1 << 16
 
 // maxChunkRecords bounds a single chunk on the decode side: corrupt
@@ -53,7 +51,7 @@ const maxChunkRecords = 1 << 22
 // therefore self-contained and can be shipped to a remote analyzer
 // with EncodeChunk.
 type Chunk struct {
-	Index    int      // position in the trace, 0-based
+	Index    int // position in the trace, 0-based
 	Records  []Record
 	Funcs    []string // cumulative function table; Record.Fn indexes it
 	CoreMask uint64   // bit min(core,63) set for every core seen
@@ -68,19 +66,12 @@ func (c *Chunk) FuncName(id uint32) string {
 	return "?"
 }
 
-// ChunkInfo is one trailing-index entry.
-type ChunkInfo struct {
+// chunkInfo is one trailing-index entry.
+type chunkInfo struct {
 	Offset   uint64 // file offset of the chunk header
 	Records  uint32
 	Funcs    uint32 // cumulative interned names after this chunk
 	CoreMask uint64
-}
-
-// Index is the decoded trailing index of a v2 file.
-type Index struct {
-	ChunkRecords int
-	TotalRecords uint64
-	Chunks       []ChunkInfo
 }
 
 // WriterOptions configures a streaming trace Writer.
@@ -109,13 +100,9 @@ type Writer struct {
 	coreMask uint64
 	maxCore  uint32
 
-	index []ChunkInfo
+	index []chunkInfo
 	total uint64
 	off   uint64 // bytes written so far
-
-	// Filter, when non-nil, drops hooked events whose function name
-	// does not satisfy it (mirrors Buffer.Filter).
-	Filter func(fn string) bool
 }
 
 // NewWriter returns a streaming v2 writer over w.
@@ -139,9 +126,6 @@ func NewWriter(w io.Writer, opts WriterOptions) *Writer {
 // I/O errors stick and surface from Flush or Close.
 func (w *Writer) Hook() sim.Hook {
 	return func(ev sim.Event, _ *sim.Core) {
-		if w.Filter != nil && !w.Filter(ev.Fn) {
-			return
-		}
 		w.Append(Record{
 			Core:  uint16(ev.Core),
 			Kind:  ev.Kind,
@@ -155,7 +139,7 @@ func (w *Writer) Hook() sim.Hook {
 
 // Append adds one record; fn is the record's function name and
 // replaces any Fn id already in r. The signature mirrors the
-// Buffer.Replay callback so a buffer re-encodes with
+// Buffer.Replay callback so a decoded buffer re-encodes with
 //
 //	tb.Replay(func(r Record, fn string) { w.Append(r, fn) })
 func (w *Writer) Append(r Record, fn string) error {
@@ -225,7 +209,7 @@ func (w *Writer) flushChunk() error {
 	if len(w.recs) == 0 {
 		return nil
 	}
-	info := ChunkInfo{
+	info := chunkInfo{
 		Offset:   w.off,
 		Records:  uint32(len(w.recs)),
 		Funcs:    uint32(len(w.fnNames)),
@@ -330,34 +314,20 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// EncodeChunked writes the buffer in the chunked v2 format.
-func (b *Buffer) EncodeChunked(w io.Writer, chunkRecords int) error {
-	cw := NewWriter(w, WriterOptions{ChunkRecords: chunkRecords})
-	for _, r := range b.records {
-		if err := cw.Append(r, b.FuncName(r.Fn)); err != nil {
-			return err
-		}
-	}
-	return cw.Close()
-}
-
-// ChunkReader streams chunks out of a trace with bounded memory. It
-// reads both formats: v2 files yield their native chunks, v1 files are
-// synthesized into chunks of DefaultChunkRecords so every consumer of
-// big traces has one code path.
+// ChunkReader streams chunks out of a trace written by a Writer with
+// bounded memory.
 type ChunkReader struct {
 	br      *bufio.Reader
-	v1      bool
 	target  int
 	fnNames []string
 	next    int
 	nRead   uint64 // records delivered so far
-	remain  uint32 // v1: records left
 	done    bool
 	err     error
 }
 
-// NewChunkReader sniffs the format of r and returns a chunk iterator.
+// NewChunkReader reads the file header of r and returns a chunk
+// iterator.
 func NewChunkReader(r io.Reader) (*ChunkReader, error) {
 	br := bufio.NewReader(r)
 	m, err := peekMagic(br)
@@ -367,44 +337,45 @@ func NewChunkReader(r io.Reader) (*ChunkReader, error) {
 		}
 		return nil, err
 	}
-	cr := &ChunkReader{br: br}
-	switch m {
-	case magic:
-		cr.v1 = true
-		cr.target = DefaultChunkRecords
-		var hdr [12]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, err
-		}
-		nFns := binary.LittleEndian.Uint32(hdr[4:])
-		cr.remain = binary.LittleEndian.Uint32(hdr[8:])
-		if nFns > MaxFuncs {
-			return nil, fmt.Errorf("trace: function table size %d exceeds limit %d", nFns, MaxFuncs)
-		}
-		cr.fnNames = make([]string, 0, nFns)
-		for i := uint32(0); i < nFns; i++ {
-			name, err := readName(br)
-			if err != nil {
-				return nil, err
-			}
-			cr.fnNames = append(cr.fnNames, name)
-		}
-	case magic2:
-		var hdr [fileHeaderSize]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, err
-		}
-		if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion2 {
-			return nil, fmt.Errorf("trace: unsupported format version %d", v)
-		}
-		cr.target = int(binary.LittleEndian.Uint32(hdr[8:]))
-		if cr.target <= 0 || cr.target > maxChunkRecords {
-			return nil, fmt.Errorf("trace: chunk record target %d out of range", cr.target)
-		}
-	default:
+	if m == magicV1 {
+		return nil, fmt.Errorf("trace: the v1 (PSTR) format is no longer read; re-record the trace with a Writer")
+	}
+	if m != magic2 {
 		return nil, fmt.Errorf("trace: bad magic")
 	}
+	var hdr [fileHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, err
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion2 {
+		return nil, fmt.Errorf("trace: unsupported format version %d", v)
+	}
+	cr := &ChunkReader{br: br, target: int(binary.LittleEndian.Uint32(hdr[8:]))}
+	if cr.target <= 0 || cr.target > maxChunkRecords {
+		return nil, fmt.Errorf("trace: chunk record target %d out of range", cr.target)
+	}
 	return cr, nil
+}
+
+// EachChunk streams the trace in r, calling fn for every chunk in
+// order; it stops at fn's first error.
+func EachChunk(r io.Reader, fn func(*Chunk) error) error {
+	cr, err := NewChunkReader(r)
+	if err != nil {
+		return err
+	}
+	for {
+		c, err := cr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(c); err != nil {
+			return err
+		}
+	}
 }
 
 // ChunkRecords returns the file's per-chunk record target.
@@ -434,9 +405,6 @@ func (cr *ChunkReader) Next() (*Chunk, error) {
 }
 
 func (cr *ChunkReader) read() (*Chunk, error) {
-	if cr.v1 {
-		return cr.readV1()
-	}
 	m, err := peekMagic(cr.br)
 	if err != nil {
 		if err == io.EOF {
@@ -494,33 +462,6 @@ func (cr *ChunkReader) read() (*Chunk, error) {
 	}, nil
 }
 
-func (cr *ChunkReader) readV1() (*Chunk, error) {
-	if cr.remain == 0 {
-		return nil, io.EOF
-	}
-	n := uint32(cr.target)
-	if cr.remain < n {
-		n = cr.remain
-	}
-	recs, err := cr.readRecords(n)
-	if err != nil {
-		return nil, err
-	}
-	cr.remain -= n
-	c := &Chunk{
-		Index:   cr.next,
-		Records: recs,
-		Funcs:   cr.fnNames[:len(cr.fnNames):len(cr.fnNames)],
-	}
-	for _, r := range recs {
-		c.CoreMask |= 1 << min(int(r.Core), 63)
-		if int(r.Core) > c.MaxCore {
-			c.MaxCore = int(r.Core)
-		}
-	}
-	return c, nil
-}
-
 func (cr *ChunkReader) readRecords(n uint32) ([]Record, error) {
 	recs := make([]Record, 0, n)
 	var rec [RecordSize]byte
@@ -560,38 +501,6 @@ func unexpectedEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-// decodeV2 assembles a chunked stream back into one Buffer.
-func decodeV2(br *bufio.Reader) (*Buffer, error) {
-	cr := &ChunkReader{br: br}
-	var hdr [fileHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion2 {
-		return nil, fmt.Errorf("trace: unsupported format version %d", v)
-	}
-	cr.target = int(binary.LittleEndian.Uint32(hdr[8:]))
-	if cr.target <= 0 || cr.target > maxChunkRecords {
-		return nil, fmt.Errorf("trace: chunk record target %d out of range", cr.target)
-	}
-	b := NewBuffer()
-	for {
-		c, err := cr.Next()
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Chunk ids are assigned in interning order, so re-interning
-		// the cumulative table reproduces them exactly.
-		for _, name := range c.Funcs[len(b.fnNames):] {
-			b.intern(name)
-		}
-		b.records = append(b.records, c.Records...)
-	}
 }
 
 // EncodeChunk writes one chunk standalone: full function table, no
@@ -675,73 +584,10 @@ func DecodeChunk(r io.Reader) (*Chunk, error) {
 	return c, nil
 }
 
-// ReadIndex seeks to the trailing index of a v2 file and decodes it
-// without touching the chunk payloads.
-func ReadIndex(rs io.ReadSeeker) (*Index, error) {
-	end, err := rs.Seek(0, io.SeekEnd)
+func peekMagic(br *bufio.Reader) (uint32, error) {
+	p, err := br.Peek(4)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if end < fileHeaderSize+trailerSize {
-		return nil, fmt.Errorf("trace: file too small for a v2 footer")
-	}
-	if _, err := rs.Seek(end-trailerSize, io.SeekStart); err != nil {
-		return nil, err
-	}
-	var tr [trailerSize]byte
-	if _, err := io.ReadFull(rs, tr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(tr[8:]) != magic2 {
-		return nil, fmt.Errorf("trace: bad footer magic")
-	}
-	indexOff := binary.LittleEndian.Uint64(tr[0:])
-	if indexOff < fileHeaderSize || indexOff > uint64(end-trailerSize) {
-		return nil, fmt.Errorf("trace: index offset %d out of range", indexOff)
-	}
-	if _, err := rs.Seek(int64(indexOff), io.SeekStart); err != nil {
-		return nil, err
-	}
-	br := bufio.NewReader(io.LimitReader(rs, end-trailerSize-int64(indexOff)))
-	var b [16]byte
-	if _, err := io.ReadFull(br, b[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(b[0:]) != indexMagic {
-		return nil, fmt.Errorf("trace: bad index magic")
-	}
-	nChunks := binary.LittleEndian.Uint32(b[4:])
-	idx := &Index{TotalRecords: binary.LittleEndian.Uint64(b[8:])}
-	if uint64(nChunks)*indexEntrySize != uint64(end-trailerSize)-indexOff-16 {
-		return nil, fmt.Errorf("trace: index size mismatch")
-	}
-	if _, err := rs.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	var hdr [fileHeaderSize]byte
-	if _, err := io.ReadFull(rs, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic2 {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	idx.ChunkRecords = int(binary.LittleEndian.Uint32(hdr[8:]))
-	if _, err := rs.Seek(int64(indexOff)+16, io.SeekStart); err != nil {
-		return nil, err
-	}
-	br = bufio.NewReader(io.LimitReader(rs, int64(nChunks)*indexEntrySize))
-	var ent [indexEntrySize]byte
-	idx.Chunks = make([]ChunkInfo, 0, min(int(nChunks), 1<<16))
-	for i := uint32(0); i < nChunks; i++ {
-		if _, err := io.ReadFull(br, ent[:]); err != nil {
-			return nil, err
-		}
-		idx.Chunks = append(idx.Chunks, ChunkInfo{
-			Offset:   binary.LittleEndian.Uint64(ent[0:]),
-			Records:  binary.LittleEndian.Uint32(ent[8:]),
-			Funcs:    binary.LittleEndian.Uint32(ent[12:]),
-			CoreMask: binary.LittleEndian.Uint64(ent[16:]),
-		})
-	}
-	return idx, nil
+	return binary.LittleEndian.Uint32(p), nil
 }

@@ -2,35 +2,34 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 
 	"prestores/internal/sim"
 )
 
-// recordMany records count store/load/fence ops across two functions
-// and two cores so chunked encodings exercise fn-table deltas and core
-// masks.
-func recordMany(t *testing.T, count int) *Buffer {
+// recordMany records about count store/load/fence ops across two
+// functions and two cores, in chunks of chunkRecords, so the encoding
+// exercises fn-table deltas and core masks.
+func recordMany(t *testing.T, count, chunkRecords int) recorded {
 	t.Helper()
-	b := NewBuffer()
-	m := sim.MachineA()
-	m.SetHook(b.Hook())
-	c0, c1 := m.Core(0), m.Core(1)
-	c0.PushFunc("writer")
-	c1.PushFunc("reader")
-	payload := make([]byte, 64)
-	for i := 0; b.Len() < count; i++ {
-		c0.Write(1<<40+uint64(i)*64, payload)
-		c1.Read(1<<40+uint64(i)*64, payload)
-		if i%17 == 0 {
-			c0.Fence()
+	return record(t, chunkRecords, func(m *sim.Machine) {
+		c0, c1 := m.Core(0), m.Core(1)
+		c0.PushFunc("writer")
+		c1.PushFunc("reader")
+		payload := make([]byte, 64)
+		for i := 0; i < count/2; i++ {
+			c0.Write(1<<40+uint64(i)*64, payload)
+			c1.Read(1<<40+uint64(i)*64, payload)
+			if i%17 == 0 {
+				c0.Fence()
+			}
 		}
-	}
-	c0.PopFunc()
-	c1.PopFunc()
-	m.SetHook(nil)
-	return b
+		c0.PopFunc()
+		c1.PopFunc()
+	})
 }
 
 func flatten(t *testing.T, cr *ChunkReader) (recs []Record, fns []string, chunks int) {
@@ -54,16 +53,15 @@ func flatten(t *testing.T, cr *ChunkReader) (recs []Record, fns []string, chunks
 	}
 }
 
-func compareReplay(t *testing.T, want *Buffer, recs []Record, fns []string) {
+func compareReplay(t *testing.T, want recorded, recs []Record, fns []string) {
 	t.Helper()
-	var wrecs []Record
-	var wfns []string
-	want.Replay(func(r Record, fn string) { wrecs = append(wrecs, r); wfns = append(wfns, fn) })
+	wrecs, wfns := want.recs, want.fns
 	if len(wrecs) != len(recs) {
 		t.Fatalf("got %d records, want %d", len(recs), len(wrecs))
 	}
 	for i := range wrecs {
-		// Fn ids can be re-interned; compare everything else plus the name.
+		// Fn ids are the writer's interning; compare everything else
+		// plus the name.
 		a, b := wrecs[i], recs[i]
 		a.Fn, b.Fn = 0, 0
 		if a != b || wfns[i] != fns[i] {
@@ -73,12 +71,8 @@ func compareReplay(t *testing.T, want *Buffer, recs []Record, fns []string) {
 }
 
 func TestWriterChunkReaderRoundtrip(t *testing.T) {
-	b := recordMany(t, 1000)
-	var buf bytes.Buffer
-	if err := b.EncodeChunked(&buf, 64); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := NewChunkReader(bytes.NewReader(buf.Bytes()))
+	rec := recordMany(t, 1000, 64)
+	cr, err := NewChunkReader(bytes.NewReader(rec.data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +80,10 @@ func TestWriterChunkReaderRoundtrip(t *testing.T) {
 		t.Fatalf("chunk target %d, want 64", cr.ChunkRecords())
 	}
 	recs, fns, chunks := flatten(t, cr)
-	if want := (b.Len() + 63) / 64; chunks != want {
+	if want := (len(rec.recs) + 63) / 64; chunks != want {
 		t.Fatalf("read %d chunks, want %d", chunks, want)
 	}
-	compareReplay(t, b, recs, fns)
+	compareReplay(t, rec, recs, fns)
 	// A drained reader keeps returning io.EOF.
 	if _, err := cr.Next(); err != io.EOF {
 		t.Fatalf("post-EOF Next: %v", err)
@@ -97,36 +91,27 @@ func TestWriterChunkReaderRoundtrip(t *testing.T) {
 }
 
 func TestDecodeReadsChunked(t *testing.T) {
-	b := recordMany(t, 500)
-	var buf bytes.Buffer
-	if err := b.EncodeChunked(&buf, 100); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := recordMany(t, 500, 100)
+	got := mustDecode(t, rec.data)
 	var recs []Record
 	var fns []string
 	got.Replay(func(r Record, fn string) { recs = append(recs, r); fns = append(fns, fn) })
-	compareReplay(t, b, recs, fns)
+	compareReplay(t, rec, recs, fns)
 }
 
-func TestChunkReaderReadsV1(t *testing.T) {
-	b := recordSome(t)
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
+// v1Header is the start of a trace in the retired whole-buffer format:
+// magic "PSTR", one interned name, no records.
+func v1Header() []byte {
+	return []byte{'R', 'T', 'S', 'P', 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'f'}
+}
+
+func TestChunkReaderRejectsV1(t *testing.T) {
+	if _, err := NewChunkReader(bytes.NewReader(v1Header())); err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("chunk reader on a v1 trace: %v", err)
 	}
-	cr, err := NewChunkReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Decode(bytes.NewReader(v1Header())); err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("Decode of a v1 trace: %v", err)
 	}
-	recs, fns, chunks := flatten(t, cr)
-	if chunks != 1 {
-		t.Fatalf("small v1 trace synthesized %d chunks, want 1", chunks)
-	}
-	compareReplay(t, b, recs, fns)
 }
 
 func TestWriterBoundedBuffer(t *testing.T) {
@@ -191,12 +176,7 @@ func TestWriterFlushWithoutClose(t *testing.T) {
 }
 
 func TestStandaloneChunkRoundtrip(t *testing.T) {
-	b := recordMany(t, 200)
-	var buf bytes.Buffer
-	if err := b.EncodeChunked(&buf, 64); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := NewChunkReader(bytes.NewReader(buf.Bytes()))
+	cr, err := NewChunkReader(bytes.NewReader(recordMany(t, 200, 64).data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,65 +208,19 @@ func TestStandaloneChunkRoundtrip(t *testing.T) {
 	}
 }
 
-func TestReadIndex(t *testing.T) {
-	b := recordMany(t, 400)
-	var buf bytes.Buffer
-	if err := b.EncodeChunked(&buf, 64); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := ReadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.ChunkRecords != 64 {
-		t.Fatalf("index chunk target %d", idx.ChunkRecords)
-	}
-	if idx.TotalRecords != uint64(b.Len()) {
-		t.Fatalf("index claims %d records, want %d", idx.TotalRecords, b.Len())
-	}
-	var sum uint64
-	var prev uint64
-	for i, ci := range idx.Chunks {
-		sum += uint64(ci.Records)
-		if ci.Offset <= prev {
-			t.Fatalf("chunk %d offset %d not past %d", i, ci.Offset, prev)
-		}
-		prev = ci.Offset
-	}
-	if sum != idx.TotalRecords {
-		t.Fatalf("index chunk records sum to %d, want %d", sum, idx.TotalRecords)
-	}
-	// The v1 format has no footer.
-	var v1 bytes.Buffer
-	if err := b.Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadIndex(bytes.NewReader(v1.Bytes())); err == nil {
-		t.Fatal("ReadIndex accepted a v1 trace")
-	}
-}
-
 func TestDecodeRejectsCorruptFnID(t *testing.T) {
-	// v1: patch the single record's fn id past the table.
-	b := NewBuffer()
-	b.records = append(b.records, Record{Fn: b.intern("f"), Addr: 64})
-	var v1 bytes.Buffer
-	if err := b.Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	raw := v1.Bytes()
-	// Record starts after 12B header + (4+1)B name entry; fn id at +19.
-	raw[12+5+19] = 0xff
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
-		t.Fatal("v1 decode accepted out-of-table fn id")
-	}
-
-	// v2: same corruption inside the chunk payload.
+	// Patch the single record's fn id past the table: the record
+	// starts after the chunk header and the (4+1)B name entry; its fn
+	// id is at +19.
 	var v2 bytes.Buffer
-	if err := b.EncodeChunked(&v2, 16); err != nil {
+	w := NewWriter(&v2, WriterOptions{ChunkRecords: 16})
+	if err := w.Append(Record{Addr: 64}, "f"); err != nil {
 		t.Fatal(err)
 	}
-	raw = v2.Bytes()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := v2.Bytes()
 	raw[fileHeaderSize+chunkHeaderSize+5+19] = 0xff
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
 		t.Fatal("v2 decode accepted out-of-table fn id")
@@ -294,29 +228,24 @@ func TestDecodeRejectsCorruptFnID(t *testing.T) {
 }
 
 func TestDecodeRejectsOversizedFnTable(t *testing.T) {
-	b := recordSome(t)
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[4], raw[5], raw[6], raw[7] = 0xff, 0xff, 0xff, 0xff
+	// Patch the first chunk's count of new function names.
+	raw := recordSome(t).data
+	binary.LittleEndian.PutUint32(raw[fileHeaderSize+16:], 0xffffffff)
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
 		t.Fatal("decode accepted an oversized function table")
 	}
-	if _, err := NewChunkReader(bytes.NewReader(raw)); err == nil {
-		t.Fatal("chunk reader accepted an oversized function table")
+	cr, err := NewChunkReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cr.Next(); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("chunk reader on an oversized function table: %v", err)
 	}
 }
 
 func TestChunkReaderTruncated(t *testing.T) {
-	b := recordMany(t, 300)
-	var buf bytes.Buffer
-	if err := b.EncodeChunked(&buf, 50); err != nil {
-		t.Fatal(err)
-	}
 	// Cut inside a chunk payload: the reader must error, not succeed.
-	trunc := buf.Bytes()[:fileHeaderSize+chunkHeaderSize+10]
+	trunc := recordMany(t, 300, 50).data[:fileHeaderSize+chunkHeaderSize+10]
 	cr, err := NewChunkReader(bytes.NewReader(trunc))
 	if err != nil {
 		t.Fatal(err)

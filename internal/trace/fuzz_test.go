@@ -3,27 +3,47 @@ package trace
 import (
 	"bytes"
 	"testing"
+
+	"prestores/internal/sim"
 )
+
+// encode writes records, each with its function name, through a Writer
+// with the given chunk target.
+func encode(t testing.TB, chunkRecords int, recs []Record, fns []string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf, WriterOptions{ChunkRecords: chunkRecords})
+	for i, r := range recs {
+		if err := w.Append(r, fns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reencode writes a decoded buffer back through a Writer.
+func reencode(t *testing.T, tb *Buffer) []byte {
+	t.Helper()
+	var recs []Record
+	var fns []string
+	tb.Replay(func(r Record, fn string) { recs = append(recs, r); fns = append(fns, fn) })
+	return encode(t, 0, recs, fns)
+}
 
 // FuzzDecode throws arbitrary bytes at the trace decoder: it must
 // return an error or a valid buffer, never panic or hang.
 func FuzzDecode(f *testing.F) {
-	// Seed with a real encoding.
-	b := NewBuffer()
-	b.records = append(b.records, Record{Core: 1, Addr: 64, Size: 8, Fn: b.intern("f"), Instr: 3, Cost: 5})
-	var seed bytes.Buffer
-	if err := b.Encode(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	// Seed with real encodings.
+	recs := []Record{{Core: 1, Addr: 64, Size: 8, Instr: 3, Cost: 5}}
+	fns := []string{"f"}
+	f.Add(encode(f, 0, recs, fns))
 	f.Add([]byte{})
+	// The retired v1 magic, which must be rejected.
 	f.Add([]byte("PSTR"))
-	// v2 chunked seeds alongside the v1 corpus.
-	var seed2 bytes.Buffer
-	if err := b.EncodeChunked(&seed2, 1); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed2.Bytes())
+	f.Add(encode(f, 1, recs, fns))
 	f.Add([]byte("PST2"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -31,15 +51,22 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A successful decode must replay and re-encode cleanly.
+		if !bytes.HasPrefix(data, []byte("PST2")) {
+			t.Fatalf("decoded input without the PST2 magic: %q", data[:min(len(data), 4)])
+		}
+		// A successful decode must replay, re-encode and decode again
+		// to the same records.
 		count := 0
 		tb.Replay(func(Record, string) { count++ })
 		if count != tb.Len() {
 			t.Fatalf("replay visited %d of %d records", count, tb.Len())
 		}
-		var out bytes.Buffer
-		if err := tb.Encode(&out); err != nil {
-			t.Fatalf("re-encode of decoded trace failed: %v", err)
+		again, err := Decode(bytes.NewReader(reencode(t, tb)))
+		if err != nil {
+			t.Fatalf("decode of re-encoded trace failed: %v", err)
+		}
+		if again.Len() != tb.Len() {
+			t.Fatalf("re-encoded trace decodes to %d of %d records", again.Len(), tb.Len())
 		}
 	})
 }
@@ -47,23 +74,15 @@ func FuzzDecode(f *testing.F) {
 // FuzzChunkReader throws arbitrary bytes at the streaming chunk
 // reader: it must return errors or well-formed chunks, never panic.
 func FuzzChunkReader(f *testing.F) {
-	b := NewBuffer()
-	b.records = append(b.records,
-		Record{Core: 1, Addr: 64, Size: 8, Fn: b.intern("f"), Instr: 3, Cost: 5},
-		Record{Core: 2, Addr: 128, Size: 8, Fn: b.intern("g"), Instr: 4, Cost: 6},
-	)
-	var v1, v2 bytes.Buffer
-	if err := b.Encode(&v1); err != nil {
-		f.Fatal(err)
-	}
-	if err := b.EncodeChunked(&v2, 1); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
-	f.Add(v2.Bytes())
-	f.Add(v2.Bytes()[:v2.Len()/2])
+	v2 := encode(f, 1, []Record{
+		{Core: 1, Addr: 64, Size: 8, Instr: 3, Cost: 5},
+		{Core: 2, Addr: 128, Size: 8, Instr: 4, Cost: 6},
+	}, []string{"f", "g"})
+	f.Add(v1Header())
+	f.Add(v2)
+	f.Add(v2[:len(v2)/2])
 	var standalone bytes.Buffer
-	cr0, err := NewChunkReader(bytes.NewReader(v2.Bytes()))
+	cr0, err := NewChunkReader(bytes.NewReader(v2))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -104,30 +123,29 @@ func FuzzChunkReader(f *testing.F) {
 	})
 }
 
-// FuzzRoundtrip checks that any record content survives encode/decode.
+// FuzzRoundtrip checks that any record content survives a Writer and
+// Decode, and a second encode/decode of the decoded buffer.
 func FuzzRoundtrip(f *testing.F) {
 	f.Add(uint16(0), uint8(1), uint64(64), uint64(8), uint64(10), uint64(4), "fn")
 	f.Fuzz(func(t *testing.T, core uint16, kind uint8, addr, size, instr, cost uint64, fn string) {
-		b := NewBuffer()
-		b.records = append(b.records, Record{
-			Core: core, Kind: 0, Addr: addr, Size: size,
-			Fn: b.intern(fn), Instr: instr, Cost: cost,
-		})
-		_ = kind
-		var buf bytes.Buffer
-		if err := b.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Decode(&buf)
+		orig := Record{Core: core, Kind: sim.OpKind(kind), Addr: addr, Size: size, Instr: instr, Cost: cost}
+		got, err := Decode(bytes.NewReader(encode(t, 0, []Record{orig}, []string{fn})))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var orig, dec Record
-		var origFn, decFn string
-		b.Replay(func(r Record, n string) { orig, origFn = r, n })
-		got.Replay(func(r Record, n string) { dec, decFn = r, n })
-		if orig != dec || origFn != decFn {
-			t.Fatalf("roundtrip mismatch: %+v/%q vs %+v/%q", orig, origFn, dec, decFn)
+		again, err := Decode(bytes.NewReader(reencode(t, got)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range []*Buffer{got, again} {
+			if tb.Len() != 1 {
+				t.Fatalf("decoded %d records, want 1", tb.Len())
+			}
+			tb.Replay(func(r Record, n string) {
+				if r != orig || n != fn {
+					t.Fatalf("roundtrip mismatch: %+v/%q vs %+v/%q", orig, fn, r, n)
+				}
+			})
 		}
 	})
 }

@@ -1,12 +1,14 @@
 // Package trace records the simulator's operation stream — the
 // equivalent of the Intel PIN instrumentation DirtBuster uses in its
-// second step — and can persist it for offline analysis.
+// second step — and persists it for offline analysis.
 //
-// A Buffer subscribes to a machine's hook and stores one compact record
-// per operation, interning function names. Traces encode to a simple
-// length-prefixed binary format (encoding/binary) so an application can
-// be traced once and analyzed many times, mirroring the paper's
-// "intended usage ... executed offline, as an optimization pass".
+// A Writer subscribes to a machine's hook and streams one compact
+// record per operation to disk in chunks, interning function names, so
+// an application can be traced once and analyzed many times, mirroring
+// the paper's "intended usage ... executed offline, as an optimization
+// pass". Analyses read the recording back chunk by chunk through a
+// ChunkReader; Decode assembles a whole recording into an in-memory
+// Buffer for the callers that want one.
 package trace
 
 import (
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"prestores/internal/sim"
 )
@@ -30,49 +33,14 @@ type Record struct {
 	Cost  uint64 // cycles the op advanced the issuing core
 }
 
-// Buffer accumulates trace records in memory.
+// Buffer is a whole recording held in memory, as Decode assembles it.
 type Buffer struct {
 	records []Record
-	fnIDs   map[string]uint32
 	fnNames []string
-	// Filter, when non-nil, drops records whose function name does not
-	// satisfy it (DirtBuster only instruments the write-intensive
-	// functions found by sampling).
-	Filter func(fn string) bool
 }
 
 // NewBuffer returns an empty trace buffer.
-func NewBuffer() *Buffer {
-	return &Buffer{fnIDs: make(map[string]uint32)}
-}
-
-// Hook returns a sim.Hook that appends every operation to the buffer.
-func (b *Buffer) Hook() sim.Hook {
-	return func(ev sim.Event, _ *sim.Core) {
-		if b.Filter != nil && !b.Filter(ev.Fn) {
-			return
-		}
-		b.records = append(b.records, Record{
-			Core:  uint16(ev.Core),
-			Kind:  ev.Kind,
-			Addr:  ev.Addr,
-			Size:  ev.Size,
-			Fn:    b.intern(ev.Fn),
-			Instr: ev.Instr,
-			Cost:  ev.Cost,
-		})
-	}
-}
-
-func (b *Buffer) intern(fn string) uint32 {
-	if id, ok := b.fnIDs[fn]; ok {
-		return id
-	}
-	id := uint32(len(b.fnNames))
-	b.fnIDs[fn] = id
-	b.fnNames = append(b.fnNames, fn)
-	return id
-}
+func NewBuffer() *Buffer { return &Buffer{} }
 
 // Len returns the number of records.
 func (b *Buffer) Len() int { return len(b.records) }
@@ -92,10 +60,10 @@ func (b *Buffer) Replay(fn func(r Record, fnName string)) {
 	}
 }
 
-// Reset drops all records but keeps the interning table.
-func (b *Buffer) Reset() { b.records = b.records[:0] }
-
-const magic = 0x50535452 // "PSTR"
+// magicV1 opened the retired whole-buffer v1 format ("PSTR" as a
+// little-endian word, so the file's first bytes read "RTSP"); readers
+// recognize it only to reject it with a clear error.
+const magicV1 = 0x50535452
 
 // MaxFuncs bounds the interned function table. Real traces intern a
 // handful of names; a corrupt header must not make a decoder allocate
@@ -106,7 +74,7 @@ const MaxFuncs = 1 << 20
 const maxNameLen = 1 << 16
 
 // RecordSize is the fixed on-wire size of one encoded Record, shared
-// by the v1 format, the v2 chunk format and the Partial wire codec.
+// by the chunk format and the Partial wire codec.
 const RecordSize = 39
 
 // PutRecord encodes r into b, which must be at least RecordSize bytes.
@@ -134,31 +102,6 @@ func GetRecord(b []byte) Record {
 	}
 }
 
-// Encode writes the trace in the v1 binary form.
-func (b *Buffer) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(b.fnNames)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.records)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, name := range b.fnNames {
-		if err := writeName(bw, name); err != nil {
-			return err
-		}
-	}
-	var rec [RecordSize]byte
-	for _, r := range b.records {
-		PutRecord(rec[:], r)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 func writeName(bw *bufio.Writer, name string) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(name))); err != nil {
 		return err
@@ -182,67 +125,22 @@ func readName(br *bufio.Reader) (string, error) {
 	return string(name), nil
 }
 
-// Decode reads a trace written by Encode (v1) or by a Writer (v2
-// chunked): the chunked form is assembled back into one in-memory
+// Decode reads a whole trace written by a Writer into one in-memory
 // Buffer. Decoding fails on corrupt input, including records whose
 // function id falls outside the interned table.
 func Decode(r io.Reader) (*Buffer, error) {
-	br := bufio.NewReader(r)
-	m, err := peekMagic(br)
+	b := NewBuffer()
+	err := EachChunk(r, func(c *Chunk) error {
+		// Chunk tables are cumulative: the latest one covers every
+		// id seen so far.
+		b.fnNames = c.Funcs
+		b.records = append(b.records, c.Records...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if m == magic2 {
-		return decodeV2(br)
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	nFns := binary.LittleEndian.Uint32(hdr[4:])
-	nRecs := binary.LittleEndian.Uint32(hdr[8:])
-	if nFns > MaxFuncs {
-		return nil, fmt.Errorf("trace: function table size %d exceeds limit %d", nFns, MaxFuncs)
-	}
-	b := NewBuffer()
-	for i := uint32(0); i < nFns; i++ {
-		name, err := readName(br)
-		if err != nil {
-			return nil, err
-		}
-		b.intern(name)
-	}
-	// Cap the preallocation: the header is untrusted input, and a
-	// corrupt count must not force a huge allocation before the reads
-	// fail naturally.
-	prealloc := nRecs
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	b.records = make([]Record, 0, prealloc)
-	var rec [RecordSize]byte
-	for i := uint32(0); i < nRecs; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, err
-		}
-		rr := GetRecord(rec[:])
-		if rr.Fn >= nFns {
-			return nil, fmt.Errorf("trace: record %d references function id %d outside table of %d", i, rr.Fn, nFns)
-		}
-		b.records = append(b.records, rr)
 	}
 	return b, nil
-}
-
-func peekMagic(br *bufio.Reader) (uint32, error) {
-	p, err := br.Peek(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(p), nil
 }
 
 // FnTime is the per-function time attribution of a trace.
@@ -255,28 +153,39 @@ type FnTime struct {
 	TimeShare float64 // fraction of the trace's total cycles
 }
 
-// TimeByFunction aggregates per-function cycle attribution — a
-// perf-report-style view of a recording.
-func (b *Buffer) TimeByFunction() []FnTime {
+// FnTimes is a perf-report-style profile: functions by descending
+// cycles.
+type FnTimes []FnTime
+
+// TimeByFunction streams the trace in r chunk by chunk and aggregates
+// per-function cycle attribution.
+func TimeByFunction(r io.Reader) (FnTimes, error) {
 	agg := map[string]*FnTime{}
 	var total uint64
-	b.Replay(func(r Record, fn string) {
-		ft := agg[fn]
-		if ft == nil {
-			ft = &FnTime{Fn: fn}
-			agg[fn] = ft
+	err := EachChunk(r, func(c *Chunk) error {
+		for _, rec := range c.Records {
+			fn := c.Funcs[rec.Fn]
+			ft := agg[fn]
+			if ft == nil {
+				ft = &FnTime{Fn: fn}
+				agg[fn] = ft
+			}
+			ft.Cycles += rec.Cost
+			ft.Ops++
+			total += rec.Cost
+			switch rec.Kind {
+			case sim.OpStore, sim.OpStoreNT, sim.OpAtomic:
+				ft.StoreCyc += rec.Cost
+			case sim.OpLoad:
+				ft.LoadCyc += rec.Cost
+			}
 		}
-		ft.Cycles += r.Cost
-		ft.Ops++
-		total += r.Cost
-		switch r.Kind {
-		case sim.OpStore, sim.OpStoreNT, sim.OpAtomic:
-			ft.StoreCyc += r.Cost
-		case sim.OpLoad:
-			ft.LoadCyc += r.Cost
-		}
+		return nil
 	})
-	out := make([]FnTime, 0, len(agg))
+	if err != nil {
+		return nil, err
+	}
+	out := make(FnTimes, 0, len(agg))
 	for _, ft := range agg {
 		if total > 0 {
 			ft.TimeShare = float64(ft.Cycles) / float64(total)
@@ -289,5 +198,23 @@ func (b *Buffer) TimeByFunction() []FnTime {
 		}
 		return out[i].Fn < out[j].Fn
 	})
-	return out
+	return out, nil
+}
+
+// Render formats the profile as a table, one function per line.
+func (fs FnTimes) Render() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-32s %10s %8s %8s %8s\n", "function", "cycles", "time%", "store%", "ops")
+	for _, ft := range fs {
+		if ft.Fn == "" {
+			ft.Fn = "(untagged)"
+		}
+		storePct := 0.0
+		if ft.Cycles > 0 {
+			storePct = 100 * float64(ft.StoreCyc) / float64(ft.Cycles)
+		}
+		fmt.Fprintf(&sb, "%-32s %10d %7.1f%% %7.1f%% %8d\n",
+			ft.Fn, ft.Cycles, ft.TimeShare*100, storePct, ft.Ops)
+	}
+	return sb.String()
 }

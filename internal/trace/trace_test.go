@@ -8,26 +8,66 @@ import (
 	"prestores/internal/sim"
 )
 
-func recordSome(t *testing.T) *Buffer {
+// recorded is one run streamed through a Writer: its encoding, plus
+// the records and function names the hook saw in order — the oracle
+// the decoders are checked against. Fn ids are left zero: they are
+// the writer's interning, not part of the recorded operation.
+type recorded struct {
+	data []byte
+	recs []Record
+	fns  []string
+}
+
+// record runs body on a fresh machine A, streaming every operation
+// into a Writer with the given chunk target.
+func record(t *testing.T, chunkRecords int, body func(m *sim.Machine)) recorded {
 	t.Helper()
-	b := NewBuffer()
+	var rec recorded
+	var buf bytes.Buffer
+	w := NewWriter(&buf, WriterOptions{ChunkRecords: chunkRecords})
+	hook := w.Hook()
 	m := sim.MachineA()
-	m.SetHook(b.Hook())
-	c := m.Core(0)
-	c.PushFunc("alpha")
-	c.Write(1<<40, []byte{1, 2, 3})
-	var buf [3]byte
-	c.Read(1<<40, buf[:])
-	c.PopFunc()
-	c.PushFunc("beta")
-	c.Fence()
-	c.PopFunc()
+	m.SetHook(func(ev sim.Event, c *sim.Core) {
+		hook(ev, c)
+		rec.recs = append(rec.recs, Record{Core: uint16(ev.Core), Kind: ev.Kind, Addr: ev.Addr,
+			Size: ev.Size, Instr: ev.Instr, Cost: ev.Cost})
+		rec.fns = append(rec.fns, ev.Fn)
+	})
+	body(m)
 	m.SetHook(nil)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec.data = buf.Bytes()
+	return rec
+}
+
+func recordSome(t *testing.T) recorded {
+	t.Helper()
+	return record(t, 0, func(m *sim.Machine) {
+		c := m.Core(0)
+		c.PushFunc("alpha")
+		c.Write(1<<40, []byte{1, 2, 3})
+		var buf [3]byte
+		c.Read(1<<40, buf[:])
+		c.PopFunc()
+		c.PushFunc("beta")
+		c.Fence()
+		c.PopFunc()
+	})
+}
+
+func mustDecode(t *testing.T, data []byte) *Buffer {
+	t.Helper()
+	b, err := Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return b
 }
 
 func TestRecording(t *testing.T) {
-	b := recordSome(t)
+	b := mustDecode(t, recordSome(t).data)
 	if b.Len() == 0 {
 		t.Fatal("nothing recorded")
 	}
@@ -55,56 +95,16 @@ func TestRecording(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	b := NewBuffer()
-	b.Filter = func(fn string) bool { return fn == "keep" }
-	m := sim.MachineA()
-	m.SetHook(b.Hook())
-	c := m.Core(0)
-	c.PushFunc("keep")
-	c.Write(1<<40, []byte{1})
-	c.PopFunc()
-	c.PushFunc("drop")
-	c.Write(1<<40+64, []byte{1})
-	c.PopFunc()
-	m.SetHook(nil)
-	count := 0
-	b.Replay(func(r Record, fn string) {
-		if r.Kind == sim.OpStore {
-			count++
-			if fn != "keep" {
-				t.Fatalf("filtered record from %q", fn)
-			}
-		}
-	})
-	if count != 1 {
-		t.Fatalf("kept %d stores, want 1", count)
-	}
-}
-
 func TestEncodeDecodeRoundtrip(t *testing.T) {
-	b := recordSome(t)
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
+	rec := recordSome(t)
+	got := mustDecode(t, rec.data)
+	if got.Len() != len(rec.recs) {
+		t.Fatalf("decoded %d records, want %d", got.Len(), len(rec.recs))
 	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != b.Len() {
-		t.Fatalf("decoded %d records, want %d", got.Len(), b.Len())
-	}
-	var orig, decoded []Record
-	var origFns, decodedFns []string
-	b.Replay(func(r Record, fn string) { orig = append(orig, r); origFns = append(origFns, fn) })
-	got.Replay(func(r Record, fn string) { decoded = append(decoded, r); decodedFns = append(decodedFns, fn) })
-	for i := range orig {
-		if orig[i] != decoded[i] || origFns[i] != decodedFns[i] {
-			t.Fatalf("record %d mismatch: %+v (%q) vs %+v (%q)",
-				i, orig[i], origFns[i], decoded[i], decodedFns[i])
-		}
-	}
+	var recs []Record
+	var fns []string
+	got.Replay(func(r Record, fn string) { recs = append(recs, r); fns = append(fns, fn) })
+	compareReplay(t, rec, recs, fns)
 }
 
 func TestDecodeBadMagic(t *testing.T) {
@@ -114,26 +114,10 @@ func TestDecodeBadMagic(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	b := recordSome(t)
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
+	data := recordSome(t).data
+	trunc := data[:len(data)/2]
 	if _, err := Decode(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated trace accepted")
-	}
-}
-
-func TestReset(t *testing.T) {
-	b := recordSome(t)
-	b.Reset()
-	if b.Len() != 0 {
-		t.Fatal("Reset kept records")
-	}
-	// Interning table survives.
-	if b.FuncName(0) == "?" {
-		t.Fatal("Reset dropped the function table")
 	}
 }
 
@@ -145,20 +129,21 @@ func TestFuncNameUnknown(t *testing.T) {
 }
 
 func TestTimeByFunction(t *testing.T) {
-	b := NewBuffer()
-	m := sim.MachineA()
-	m.SetHook(b.Hook())
-	c := m.Core(0)
-	c.PushFunc("writer")
-	for i := uint64(0); i < 200; i++ {
-		c.Write(1<<40+i*4096, make([]byte, 256))
+	rec := record(t, 16, func(m *sim.Machine) {
+		c := m.Core(0)
+		c.PushFunc("writer")
+		for i := uint64(0); i < 200; i++ {
+			c.Write(1<<40+i*4096, make([]byte, 256))
+		}
+		c.PopFunc()
+		c.PushFunc("thinker")
+		c.Compute(50)
+		c.PopFunc()
+	})
+	rep, err := TimeByFunction(bytes.NewReader(rec.data))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.PopFunc()
-	c.PushFunc("thinker")
-	c.Compute(50)
-	c.PopFunc()
-	m.SetHook(nil)
-	rep := b.TimeByFunction()
 	if len(rep) < 2 {
 		t.Fatalf("report has %d functions", len(rep))
 	}
@@ -169,10 +154,20 @@ func TestTimeByFunction(t *testing.T) {
 		t.Fatalf("writer attribution: %+v", rep[0])
 	}
 	var total float64
+	var ops uint64
 	for _, ft := range rep {
 		total += ft.TimeShare
+		ops += ft.Ops
 	}
 	if total < 0.99 || total > 1.01 {
 		t.Fatalf("time shares sum to %v", total)
+	}
+	if ops != uint64(len(rec.recs)) {
+		t.Fatalf("profile counts %d ops, recording has %d", ops, len(rec.recs))
+	}
+	// One header line plus one line per function.
+	lines := strings.Split(strings.TrimSuffix(rep.Render(), "\n"), "\n")
+	if len(lines) != len(rep)+1 || !strings.HasPrefix(lines[1], "writer ") {
+		t.Fatalf("rendered profile:\n%s", rep.Render())
 	}
 }
